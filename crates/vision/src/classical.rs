@@ -386,15 +386,16 @@ pub(crate) fn sample_cells(
     ];
     let homography = Homography::from_correspondences(&canonical, corners).ok()?;
     let ss = subsamples.max(1);
+    // Sub-sample offsets inside a cell, computed once with the expression
+    // every sample used to recompute.
+    let offsets: Vec<f64> = (0..ss).map(|s| (s as f64 + 0.5) / ss as f64).collect();
     let mut cells = [[0.0f32; MARKER_CELLS]; MARKER_CELLS];
     for row in 0..MARKER_CELLS {
         for col in 0..MARKER_CELLS {
             let mut sum = 0.0f32;
-            for sy in 0..ss {
-                for sx in 0..ss {
-                    let u = col as f64 + (sx as f64 + 0.5) / ss as f64;
-                    let v = row as f64 + (sy as f64 + 0.5) / ss as f64;
-                    let p = homography.apply(Vec2::new(u, v));
+            for dv in &offsets {
+                for du in &offsets {
+                    let p = homography.apply(Vec2::new(col as f64 + du, row as f64 + dv));
                     sum += image.sample_bilinear(p.x, p.y);
                 }
             }

@@ -143,16 +143,21 @@ impl GrayImage {
         }
         let x = x.clamp(-1.0, self.width as f64 + 1.0);
         let y = y.clamp(-1.0, self.height as f64 + 1.0);
-        let x0 = x.floor() as i64;
-        let y0 = y.floor() as i64;
+        let x0 = floor_to_i64(x);
+        let y0 = floor_to_i64(y);
         let fx = (x - x0 as f64) as f32;
         let fy = (y - y0 as f64) as f32;
-        let p00 = self.get_clamped(x0, y0);
-        let p10 = self.get_clamped(x0 + 1, y0);
-        let p01 = self.get_clamped(x0, y0 + 1);
-        let p11 = self.get_clamped(x0 + 1, y0 + 1);
-        let top = p00 * (1.0 - fx) + p10 * fx;
-        let bottom = p01 * (1.0 - fx) + p11 * fx;
+        // The four neighbours, clamped to the image exactly as
+        // `get_clamped` would clamp them, one clamp per coordinate.
+        let max_x = self.width as i64 - 1;
+        let max_y = self.height as i64 - 1;
+        let cx0 = x0.clamp(0, max_x) as usize;
+        let cx1 = (x0 + 1).clamp(0, max_x) as usize;
+        let row0 = y0.clamp(0, max_y) as usize * self.width;
+        let row1 = (y0 + 1).clamp(0, max_y) as usize * self.width;
+        let d = &self.data;
+        let top = d[row0 + cx0] * (1.0 - fx) + d[row0 + cx1] * fx;
+        let bottom = d[row1 + cx0] * (1.0 - fx) + d[row1 + cx1] * fx;
         top * (1.0 - fy) + bottom * fy
     }
 
@@ -283,6 +288,20 @@ impl fmt::Display for GrayImage {
     }
 }
 
+/// `x.floor() as i64` without the `floor` libm call that `f64::floor`
+/// compiles to on baseline x86-64 (which has no SSE4.1 `roundsd`).
+///
+/// Truncation rounds toward zero, so it overshoots the floor by exactly one
+/// for negative non-integers; the comparison steps those back down. The
+/// result equals `x.floor() as i64` for every finite `x` whose floor fits in
+/// an `i64`, which covers the `[-1, size + 1]` range `sample_bilinear`
+/// clamps to.
+#[inline]
+fn floor_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t - i64::from(t as f64 > x)
+}
+
 /// Summed-area table supporting O(1) rectangle mean queries.
 ///
 /// # Examples
@@ -399,6 +418,19 @@ mod tests {
         assert!((img.sample_bilinear(0.5, 0.0) - 0.5).abs() < 1e-6);
         assert!((img.sample_bilinear(0.0, 0.0) - 0.0).abs() < 1e-6);
         assert!((img.sample_bilinear(1.0, 0.0) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn floor_to_i64_matches_libm_floor() {
+        let width = 160.0f64;
+        let mut xs = vec![-1.0, -0.5, -0.0, 0.0, 0.5, width, width + 1.0];
+        for i in -1..=161 {
+            let k = i as f64;
+            xs.extend([k, k.next_down(), k.next_up(), k - 0.5, k + 0.25]);
+        }
+        for x in xs.into_iter().filter(|x| (-1.0..=width + 1.0).contains(x)) {
+            assert_eq!(floor_to_i64(x), x.floor() as i64, "floor({x:e})");
+        }
     }
 
     #[test]

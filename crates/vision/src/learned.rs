@@ -21,6 +21,29 @@
 //!    dictionary code in all four rotations (the "classification head"),
 //! 5. an acceptance threshold on the soft score that is *calibrated offline*
 //!    by [`crate::training`] on synthetic degraded imagery (the "training").
+//!
+//! # Bit-exactness of the soft-decode kernel
+//!
+//! Soft decoding is the hottest code in a V2/V3 mission: every plausible
+//! candidate is decoded 65 times (once, then 2 refinement iterations × 4
+//! corners × 8 offsets), and every decision downstream depends on the exact
+//! scores. The kernel is therefore optimised only in ways that keep every
+//! output bit, and `tests/detector_golden.rs` at the workspace root pins
+//! those bits. Changes to it must keep this contract:
+//!
+//! * floating-point operations happen in the same order with the same
+//!   operands: cell means sum their sub-samples in `(sy, sx)` order, each
+//!   rotation's payload sum adds its 16 cell terms in cell order, and the
+//!   per-cell terms are `w * 1.0 + (1.0 - w) * 0.5` (agree) and
+//!   `w * 0.0 + (1.0 - w) * 0.5` (disagree), written out as such;
+//! * a division stays a division: no reciprocal multiplied in its place,
+//!   neither in [`crate::Homography::apply`] nor in the score
+//!   normalisations;
+//! * integer work may be restructured freely when its results are equal:
+//!   rotated code masks are precomputed per detector, the top-two code
+//!   selection is a single pass with the tie rules of a stable sort, and the
+//!   bilinear sampler floors by truncation plus a correction instead of
+//!   calling `f64::floor` (a libm call on baseline x86-64).
 
 use mls_geom::Vec2;
 use serde::{Deserialize, Serialize};
@@ -29,7 +52,9 @@ use crate::classical::{
     adaptive_dark_mask, connected_components, dedupe_detections, quad_from_points,
     quad_is_plausible, sample_cells,
 };
-use crate::{Detection, GrayImage, MarkerDetector, MarkerDictionary, MARKER_CELLS};
+use crate::{
+    Detection, GrayImage, MarkerCode, MarkerDetector, MarkerDictionary, MARKER_CELLS, PAYLOAD_CELLS,
+};
 
 /// Configuration of the learned-detector surrogate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,6 +148,11 @@ pub struct ScoredCandidate {
 pub struct LearnedDetector {
     dictionary: MarkerDictionary,
     config: LearnedDetectorConfig,
+    /// Each code's payload under the four rotations, in observation
+    /// coordinates: bit `row * PAYLOAD_CELLS + col` of `rotated_codes[id][r]`
+    /// is the code bit that observed cell `(row, col)` is compared with at
+    /// rotation `r`.
+    rotated_codes: Vec<[MarkerCode; 4]>,
 }
 
 impl LearnedDetector {
@@ -133,7 +163,28 @@ impl LearnedDetector {
 
     /// Creates a detector with an explicit configuration.
     pub fn with_config(dictionary: MarkerDictionary, config: LearnedDetectorConfig) -> Self {
-        Self { dictionary, config }
+        let rotated_codes = dictionary
+            .iter()
+            .map(|(_, code)| {
+                std::array::from_fn(|rotation| {
+                    let mut mask: MarkerCode = 0;
+                    for row in 0..PAYLOAD_CELLS {
+                        for col in 0..PAYLOAD_CELLS {
+                            let (r, c) = rotate_cell(row, col, rotation, PAYLOAD_CELLS);
+                            if code & (1 << (r * PAYLOAD_CELLS + c)) != 0 {
+                                mask |= 1 << (row * PAYLOAD_CELLS + col);
+                            }
+                        }
+                    }
+                    mask
+                })
+            })
+            .collect();
+        Self {
+            dictionary,
+            config,
+            rotated_codes,
+        }
     }
 
     /// The dictionary markers are decoded against.
@@ -259,48 +310,39 @@ impl LearnedDetector {
         }
         border_score /= border_cells;
 
-        // Payload score against every code and rotation.
-        let payload_cells = MARKER_CELLS - 2;
-        let mut observed = [[0.0f64; 4]; 4];
-        let mut weights = [[0.0f64; 4]; 4];
-        for row in 0..payload_cells {
-            for col in 0..payload_cells {
-                let (value, weight) = bit(row + 1, col + 1);
-                observed[row][col] = value;
-                weights[row][col] = weight;
-            }
-        }
-
-        let mut scored_codes: Vec<(u32, f64)> = Vec::with_capacity(self.dictionary.len());
-        for (id, code) in self.dictionary.iter() {
-            let mut best_rotation_score = 0.0f64;
-            for rotation in 0..4 {
-                let mut score = 0.0;
-                for row in 0..payload_cells {
-                    for col in 0..payload_cells {
-                        let (r, c) = rotate_cell(row, col, rotation, payload_cells);
-                        let expected = if code & (1 << (r * payload_cells + c)) != 0 {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        let w = weights[row][col];
-                        let agreement = if (observed[row][col] - expected).abs() < 0.5 {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        score += w * agreement + (1.0 - w) * 0.5;
-                    }
+        // Payload score against every code and rotation. Each observed cell
+        // contributes its `hit` term where a rotated code agrees with the
+        // observed bit and its `miss` term where it does not.
+        let mut observed: MarkerCode = 0;
+        let mut terms = [[0.0f64; 2]; PAYLOAD_CELLS * PAYLOAD_CELLS];
+        for row in 0..PAYLOAD_CELLS {
+            for col in 0..PAYLOAD_CELLS {
+                let (value, w) = bit(row + 1, col + 1);
+                let i = row * PAYLOAD_CELLS + col;
+                if value == 1.0 {
+                    observed |= 1 << i;
                 }
-                best_rotation_score =
-                    best_rotation_score.max(score / (payload_cells * payload_cells) as f64);
+                let miss = w * 0.0 + (1.0 - w) * 0.5;
+                let hit = w * 1.0 + (1.0 - w) * 0.5;
+                terms[i] = [miss, hit];
             }
-            scored_codes.push((id, best_rotation_score));
         }
-        scored_codes.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let (id, payload_score) = *scored_codes.first()?;
-        let second = scored_codes.get(1).map(|s| s.1).unwrap_or(0.0);
+        let cell_count = terms.len() as f64;
+        let code_scores = self.rotated_codes.iter().enumerate().map(|(id, masks)| {
+            let agree = masks.map(|mask| !(mask ^ observed));
+            // The four rotations' sums, each accumulated in cell order.
+            let mut sums = [0.0f64; 4];
+            for (i, term) in terms.iter().enumerate() {
+                for (sum, agree) in sums.iter_mut().zip(agree) {
+                    *sum += term[usize::from((agree >> i) & 1)];
+                }
+            }
+            let best_rotation = sums
+                .iter()
+                .fold(0.0f64, |best, sum| best.max(sum / cell_count));
+            (id as u32, best_rotation)
+        });
+        let (id, payload_score, second) = top_two(code_scores)?;
         let contrast_factor = ((contrast as f64) / 0.12).clamp(0.0, 1.0);
         let score = (0.6 * payload_score + 0.4 * border_score) * (0.4 + 0.6 * contrast_factor);
         Some(ScoredCandidate {
@@ -339,6 +381,31 @@ impl MarkerDetector for LearnedDetector {
     fn relative_cost(&self) -> f64 {
         self.config.relative_cost
     }
+}
+
+/// The best-scoring code and the runner-up score, as `(id, best, second)`.
+///
+/// Equivalent to a stable descending sort of `(id, score)` pairs followed by
+/// reading the first two entries: among equal maxima the first (lowest) id
+/// wins, the second score is the maximum of all the others (equal to the
+/// best on a tie), and a single code is its own runner-up at `0.0`. `None`
+/// for an empty dictionary. Scores are sums of non-negative finite terms, so
+/// never NaN.
+fn top_two(scores: impl Iterator<Item = (u32, f64)>) -> Option<(u32, f64, f64)> {
+    let mut best: Option<(u32, f64)> = None;
+    let mut second: Option<f64> = None;
+    for (id, score) in scores {
+        match best {
+            Some((_, top)) if score <= top => {
+                second = Some(second.map_or(score, |s| s.max(score)));
+            }
+            _ => {
+                second = best.map(|(_, top)| top);
+                best = Some((id, score));
+            }
+        }
+    }
+    best.map(|(id, top)| (id, top, second.unwrap_or(0.0)))
 }
 
 /// Rotates payload cell coordinates by `rotation` clockwise quarter turns.
@@ -476,6 +543,41 @@ mod tests {
         assert!(detector.detect(&frame).is_empty());
         detector.set_acceptance_threshold(0.5);
         assert!(!detector.detect(&frame).is_empty());
+    }
+
+    /// The selection `top_two` replaced: a stable descending sort.
+    fn sorted_top_two(scores: &[f64]) -> Option<(u32, f64, f64)> {
+        let mut sorted: Vec<(u32, f64)> = (0u32..).zip(scores.iter().copied()).collect();
+        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let (id, best) = *sorted.first()?;
+        Some((id, best, sorted.get(1).map(|s| s.1).unwrap_or(0.0)))
+    }
+
+    #[test]
+    fn top_two_matches_a_stable_sort() {
+        let cases: [&[f64]; 9] = [
+            &[],
+            &[0.7],
+            &[0.5, 0.5],
+            &[0.25, 0.75, 0.75, 0.5],
+            &[0.9, 0.1, 0.9],
+            &[0.1, 0.2, 0.3, 0.4],
+            &[0.4, 0.3, 0.2, 0.1],
+            &[0.3, 0.8, 0.3, 0.6, 0.8, 0.7],
+            &[0.0, 0.0, 0.0],
+        ];
+        for scores in cases {
+            let got = top_two((0u32..).zip(scores.iter().copied()));
+            assert_eq!(got, sorted_top_two(scores), "scores {scores:?}");
+        }
+        // Ties go to the lowest id with a zero margin; a lone code is its own
+        // runner-up at 0; an empty dictionary decodes nothing.
+        assert_eq!(
+            top_two([(0, 0.5), (1, 0.75), (2, 0.75)].into_iter()),
+            Some((1, 0.75, 0.75))
+        );
+        assert_eq!(top_two([(0, 0.7)].into_iter()), Some((0, 0.7, 0.0)));
+        assert_eq!(top_two(std::iter::empty()), None);
     }
 
     #[test]
