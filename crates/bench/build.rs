@@ -22,7 +22,16 @@ fn main() {
     let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_string());
     println!("cargo:rustc-env=MLS_BUILD_PROFILE={profile}");
 
-    // Re-stamp when the checked-out commit moves (HEAD covers branch
-    // switches; the ref file covers commits on the current branch).
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when the checked-out commit moves. HEAD changes only on a
+    // branch switch or a detached checkout; a commit on the current branch
+    // moves the branch's ref file instead, or `packed-refs` when the ref is
+    // packed, so both are watched too.
+    let git_dir = "../../.git";
+    println!("cargo:rerun-if-changed={git_dir}/HEAD");
+    if let Ok(head) = std::fs::read_to_string(format!("{git_dir}/HEAD")) {
+        if let Some(reference) = head.trim().strip_prefix("ref: ") {
+            println!("cargo:rerun-if-changed={git_dir}/{reference}");
+        }
+    }
+    println!("cargo:rerun-if-changed={git_dir}/packed-refs");
 }
