@@ -386,8 +386,8 @@ pub(crate) fn sample_cells(
     ];
     let homography = Homography::from_correspondences(&canonical, corners).ok()?;
     let ss = subsamples.max(1);
-    // Sub-sample offsets inside a cell, computed once with the expression
-    // every sample used to recompute.
+    // Sub-sample offsets within a cell. The detector golden fixture pins
+    // the bits this exact expression produces.
     let offsets: Vec<f64> = (0..ss).map(|s| (s as f64 + 0.5) / ss as f64).collect();
     let mut cells = [[0.0f32; MARKER_CELLS]; MARKER_CELLS];
     for row in 0..MARKER_CELLS {

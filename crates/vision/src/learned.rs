@@ -388,7 +388,7 @@ impl MarkerDetector for LearnedDetector {
 /// Equivalent to a stable descending sort of `(id, score)` pairs followed by
 /// reading the first two entries: among equal maxima the first (lowest) id
 /// wins, the second score is the maximum of all the others (equal to the
-/// best on a tie), and a single code is its own runner-up at `0.0`. `None`
+/// best on a tie), and with a single code the second score is `0.0`. `None`
 /// for an empty dictionary. Scores are sums of non-negative finite terms, so
 /// never NaN.
 fn top_two(scores: impl Iterator<Item = (u32, f64)>) -> Option<(u32, f64, f64)> {
