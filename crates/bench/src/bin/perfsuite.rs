@@ -31,11 +31,6 @@
 //!   master switch). Records the relative overhead — budgeted at < 2 % —
 //!   and *enforces* that reports and probe logs are identical across the
 //!   toggle (the non-perturbation contract).
-//! * **fabric-grid** — the campaign-grid workload re-run over the
-//!   multi-process campaign fabric at 2 workers (this binary re-executes
-//!   itself as the workers). Records the distributed wall-clock against
-//!   the in-process one and *enforces* that the distributed report is
-//!   byte-identical (the fabric's aggregation contract).
 //! * **journal-overhead** — the campaign-grid workload unjournaled vs
 //!   with the write-ahead result journal attached (one fsync'd record
 //!   per mission). Records the relative overhead — budgeted at < 2 % —
@@ -53,7 +48,7 @@ use mls_bench::{finish_obs, print_header, HarnessOptions, HostMeta};
 use mls_campaign::{
     CampaignRunner, CampaignSpec, CmaEsConfig, FalsificationConfig, FalsificationSearch, FaultAxis,
     FaultKind, FaultPlan, FaultSpace, GridRefinementConfig, ProbeExecution, SearchStage, Searcher,
-    TracePolicy, Transport,
+    TracePolicy,
 };
 use mls_core::SystemVariant;
 use serde::Serialize;
@@ -108,26 +103,6 @@ struct ObsOverheadMeasurement {
     equivalent: bool,
 }
 
-/// One in-process vs distributed-fabric timing of the same campaign.
-#[derive(Debug, Serialize)]
-struct FabricMeasurement {
-    name: String,
-    /// Worker processes the fabric run sharded over.
-    workers: usize,
-    /// Wall-clock of the in-process run, seconds.
-    in_process_wall_s: f64,
-    /// Wall-clock of the fabric run (includes worker spawn, handshake and
-    /// per-worker suite regeneration), seconds.
-    fabric_wall_s: f64,
-    /// Missions the campaign flew (identical across transports).
-    missions: usize,
-    /// `in_process_wall_s / fabric_wall_s` — below 1 on small grids,
-    /// where process spawn + suite regeneration dominate.
-    speedup: f64,
-    /// Whether the two reports serialised byte-identically (enforced).
-    equivalent: bool,
-}
-
 /// One unjournaled vs write-ahead-journaled timing of the same campaign.
 #[derive(Debug, Serialize)]
 struct JournalOverheadMeasurement {
@@ -157,7 +132,6 @@ struct PerfReport {
     throughput: Vec<ThroughputMeasurement>,
     falsify: Vec<FalsifyMeasurement>,
     obs_overhead: Vec<ObsOverheadMeasurement>,
-    fabric: Vec<FabricMeasurement>,
     journal_overhead: Vec<JournalOverheadMeasurement>,
 }
 
@@ -201,34 +175,6 @@ fn campaign_grid(threads: usize, smoke: bool, seed: u64) -> Result<ThroughputMea
         units: "missions".to_string(),
         count: report.missions,
         per_s: report.missions as f64 / wall.max(1e-9),
-    })
-}
-
-/// The fabric workload: the campaign-grid spec in-process vs sharded over
-/// 2 worker processes, reports compared byte for byte.
-fn fabric_grid(threads: usize, smoke: bool, seed: u64) -> Result<FabricMeasurement, String> {
-    let workers = 2;
-    let spec = campaign_grid_spec(smoke, seed);
-    let in_process = CampaignRunner::new(threads);
-    let start = Instant::now();
-    let baseline = in_process.run(&spec).map_err(|e| e.to_string())?;
-    let in_process_wall_s = seconds(start);
-    let baseline_json = baseline.to_json().map_err(|e| e.to_string())?;
-
-    let fabric = CampaignRunner::new(threads).with_transport(Transport::Fabric { workers });
-    let start = Instant::now();
-    let distributed = fabric.run(&spec).map_err(|e| e.to_string())?;
-    let fabric_wall_s = seconds(start);
-    let distributed_json = distributed.to_json().map_err(|e| e.to_string())?;
-
-    Ok(FabricMeasurement {
-        name: "fabric-grid".to_string(),
-        workers,
-        in_process_wall_s,
-        fabric_wall_s,
-        missions: baseline.missions,
-        speedup: in_process_wall_s / fabric_wall_s.max(1e-9),
-        equivalent: baseline_json == distributed_json,
     })
 }
 
@@ -614,11 +560,6 @@ fn obs_overhead_cma(
 }
 
 fn main() -> ExitCode {
-    // Spawned copies of this binary become fabric workers before any
-    // output happens (worker stdout carries only protocol frames).
-    mls_fabric::maybe_worker();
-    mls_fabric::install();
-
     print_header("perfsuite — canonical workload timings → BENCH_perf.json");
     let options = HarnessOptions::from_env();
     let smoke = std::env::var("MLS_PERF_SMOKE")
@@ -652,11 +593,10 @@ fn main() -> ExitCode {
     let mut throughput = Vec::new();
     let mut falsify = Vec::new();
     let mut obs_overhead = Vec::new();
-    let mut fabric = Vec::new();
     let mut journal_overhead = Vec::new();
     let mut all_good = true;
 
-    println!("\n[1/7] campaign-grid");
+    println!("\n[1/6] campaign-grid");
     match campaign_grid(threads, smoke, seed) {
         Ok(m) => {
             println!(
@@ -671,7 +611,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[2/7] falsify-grid (sequential searcher path vs batched)");
+    println!("\n[2/6] falsify-grid (sequential searcher path vs batched)");
     match falsify_grid(threads, smoke, seed) {
         Ok(m) => {
             println!(
@@ -691,7 +631,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[3/7] falsify-cma (batching transport, identical flags)");
+    println!("\n[3/6] falsify-cma (batching transport, identical flags)");
     match falsify_cma(threads, smoke, seed) {
         Ok(m) => {
             println!(
@@ -707,7 +647,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[4/7] replay-throughput");
+    println!("\n[4/6] replay-throughput");
     match replay_throughput(threads, smoke) {
         Ok(m) => {
             println!(
@@ -722,7 +662,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[5/7] obs-overhead (sinks off vs on, same process; budget < 2%)");
+    println!("\n[5/6] obs-overhead (sinks off vs on, same process; budget < 2%)");
     for result in [
         obs_overhead_grid(threads, smoke, seed),
         obs_overhead_cma(threads, smoke, seed),
@@ -750,23 +690,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[6/7] fabric-grid (in-process vs 2 worker processes)");
-    match fabric_grid(threads, smoke, seed) {
-        Ok(m) => {
-            println!(
-                "  in-process: {:.1} s; fabric ×{}: {:.1} s over {} missions (byte-equivalent: {})",
-                m.in_process_wall_s, m.workers, m.fabric_wall_s, m.missions, m.equivalent
-            );
-            all_good &= m.equivalent;
-            fabric.push(m);
-        }
-        Err(err) => {
-            println!("  FAILED: {err}");
-            all_good = false;
-        }
-    }
-
-    println!("\n[7/7] journal-overhead (unjournaled vs write-ahead journal; budget < 2%)");
+    println!("\n[6/6] journal-overhead (unjournaled vs write-ahead journal; budget < 2%)");
     match journal_overhead_grid(threads, smoke, seed) {
         Ok(m) => {
             println!(
@@ -789,14 +713,13 @@ fn main() -> ExitCode {
     }
 
     let report = PerfReport {
-        schema: "mls-perf-v4".to_string(),
+        schema: "mls-perf-v5".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         threads,
         host,
         throughput,
         falsify,
         obs_overhead,
-        fabric,
         journal_overhead,
     };
     match serde_json::to_string_pretty(&report) {

@@ -13,7 +13,9 @@
 //! * **Real-world** — Jetson Nano with the live camera pipeline, plus field
 //!   conditions: degraded GNSS geometry and gusty wind (the §V-C flights).
 //!   The field suite is a documented transform of the generated suite, flown
-//!   through [`CampaignRunner::run_with_scenarios`].
+//!   through [`CampaignRunner::run_with_shared_suites`].
+
+use std::sync::Arc;
 
 use mls_bench::{percent, persist_report, print_comparison, print_header, HarnessOptions};
 use mls_campaign::{CampaignReport, CampaignRunner, CampaignSpec};
@@ -62,7 +64,8 @@ fn main() {
     let scenarios = runner
         .generate_scenarios(&field_spec)
         .expect("the §V-C campaign specification is valid");
-    let field_scenarios: Vec<Scenario> = scenarios.iter().map(to_field_conditions).collect();
+    let field_suite: Arc<Vec<Scenario>> =
+        Arc::new(scenarios.iter().map(to_field_conditions).collect());
 
     let reports: Vec<(&str, CampaignReport)> = vec![
         (
@@ -76,7 +79,7 @@ fn main() {
         (
             "Real-world (Jetson + field weather)",
             runner
-                .run_with_scenarios(&field_spec, &field_scenarios)
+                .run_with_shared_suites(&field_spec, &[field_suite])
                 .expect("the field campaign runs"),
         ),
     ];

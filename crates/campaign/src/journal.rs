@@ -1,19 +1,18 @@
 //! The write-ahead result journal: crash-safe campaigns that resume
 //! byte-identically.
 //!
-//! A campaign's artifacts are a pure function of (spec, seed): every
-//! transport funnels its job-ordered mission slots through
-//! [`CampaignRunner::assemble_report`], which normalises slots beyond each
-//! cell's decided early-stop prefix before anything is persisted. The
-//! journal exploits exactly that purity: one fsync'd record per completed
-//! work unit (a flown mission slot, or a probe's full outcome vector),
-//! each keyed by the owning spec's configuration hash, with floats
-//! transported as IEEE-754 bit patterns via [`crate::wire`]. A resumed
-//! run replays the recovered slots and re-flies only the missing ones —
-//! and because `fly_mission` is itself pure per (spec, cell, scenario,
-//! repeat), the assembled report, traces, counterexamples and corpus
-//! index are byte-identical whether the campaign was interrupted zero
-//! times or N times, in-process or on the fabric.
+//! A campaign's artifacts are a pure function of (spec, seed): the runner
+//! funnels its job-ordered mission slots through one assembly step,
+//! which normalises slots beyond each cell's decided early-stop prefix
+//! before anything is persisted. The journal exploits exactly that
+//! purity: one fsync'd record per completed work unit (a flown mission
+//! slot, or a probe's full outcome vector), each keyed by the owning
+//! spec's configuration hash, with floats stored as IEEE-754 bit
+//! patterns. A resumed run replays the recovered slots and re-flies only
+//! the missing ones — and because `fly_mission` is itself pure per
+//! (spec, cell, scenario, repeat), the assembled report, traces,
+//! counterexamples and corpus index are byte-identical whether the
+//! campaign was interrupted zero times or N times.
 //!
 //! # On-disk format (`mls-journal-v1`)
 //!
@@ -32,8 +31,7 @@
 //! {"n":1,"t":"probe","hash":H,"planned":P,"outcomes":[0,2,1,...]}
 //! ```
 //!
-//! Probe outcomes use the shared wire codes
-//! ([`crate::wire::probe_outcome_code`]): `0` skipped, `1` failure, `2`
+//! Probe outcomes are small integer codes: `0` skipped, `1` failure, `2`
 //! success.
 //!
 //! # Integrity discipline
@@ -43,10 +41,11 @@
 //! it describes. On open, a torn **final** line (no trailing newline — the
 //! signature of a crash mid-append) is dropped and truncated away, not
 //! fatal: the run simply re-flies that unit. Everything else is strict —
-//! a complete line that fails to parse, a sequence gap, an unknown
-//! schema, or a scope mismatch is a loud [`CampaignError::Journal`],
-//! because silently skipping interior corruption would let a damaged
-//! journal masquerade as a shorter, valid one.
+//! a complete line that fails to parse, a slot that does not decode, a
+//! sequence gap, an unknown schema, or a scope mismatch is a loud
+//! [`CampaignError::Journal`], because silently skipping interior
+//! corruption would let a damaged journal masquerade as a shorter, valid
+//! one.
 //!
 //! Resume against an *edited* configuration is rejected at open time: a
 //! campaign-scope journal pins its spec's configuration hash in the

@@ -119,8 +119,7 @@ pub mod search;
 pub mod spec;
 pub mod stats;
 pub mod suites;
-pub mod transport;
-pub mod wire;
+mod wire;
 
 pub use executor::MissionExecutor;
 pub use faults::{
@@ -132,7 +131,7 @@ pub use mls_trace::{
     CorpusQuery, CorpusRecord, FailureSignature, TraceCorpus, TracePolicy, CORPUS_INDEX_FILE,
 };
 pub use report::{CampaignReport, CellReport, EarlyStopSummary, MetricSummary, TraceLink};
-pub use runner::{probe_rate_from_outcomes, CampaignRunner, MissionRecord, MissionSlot, ProbeRate};
+pub use runner::{CampaignRunner, ProbeRate};
 pub use search::{
     CmaEsConfig, Counterexample, FalsificationConfig, FalsificationReport, FalsificationSearch,
     GridRefinementConfig, ProbeExecution, ProbePoint, SearchStage, Searcher, SpaceFalsification,
@@ -140,7 +139,6 @@ pub use search::{
 pub use spec::{fault_point_label, CampaignCell, CampaignSpec, EarlyStopPolicy};
 pub use stats::{MetricAccumulator, P2Quantile, Welford};
 pub use suites::{SuiteCache, SuiteKey};
-pub use transport::{DistributedBackend, Transport};
 
 /// Errors produced by the campaign engine.
 #[derive(Debug)]
@@ -159,9 +157,6 @@ pub enum CampaignError {
     Trace(mls_trace::TraceError),
     /// Serialising a report failed.
     Serialize(String),
-    /// The distributed campaign fabric failed (worker spawn, protocol or
-    /// failover exhaustion).
-    Distributed(String),
     /// The write-ahead result journal failed (I/O, integrity, or a
     /// resume against an edited configuration).
     Journal(String),
@@ -177,9 +172,6 @@ impl fmt::Display for CampaignError {
             CampaignError::Mls(err) => write!(f, "landing-system assembly failed: {err}"),
             CampaignError::Trace(err) => write!(f, "trace capture failed: {err}"),
             CampaignError::Serialize(reason) => write!(f, "report serialisation failed: {reason}"),
-            CampaignError::Distributed(reason) => {
-                write!(f, "distributed campaign fabric failed: {reason}")
-            }
             CampaignError::Journal(reason) => {
                 write!(f, "result journal failed: {reason}")
             }

@@ -35,18 +35,7 @@ use crate::report::{CampaignReport, CellReport, EarlyStopSummary, TraceLink};
 use crate::spec::{CampaignCell, CampaignSpec, EarlyStopPolicy};
 use crate::stats::MetricAccumulator;
 use crate::suites::{SuiteCache, SuiteKey};
-use crate::transport::{self, Transport};
 use crate::CampaignError;
-
-/// The error a fabric-transport runner raises when no distributed backend
-/// was registered.
-fn no_backend() -> CampaignError {
-    CampaignError::Distributed(
-        "the runner's transport is Fabric but no distributed backend is installed \
-         (call mls_fabric::install() first)"
-            .to_string(),
-    )
-}
 
 /// Cached campaign instruments (see [`crate::obs_util`]).
 mod instruments {
@@ -83,38 +72,34 @@ fn record_mission_outcome(result: MissionResult) {
     mls_obs::progress_mission_flown();
 }
 
-/// The compact per-mission record the aggregation stage consumes.
-///
-/// Public (with [`MissionSlot`]) so the distributed fabric can ship the
-/// exact aggregation inputs across a process boundary and feed them back
-/// through [`CampaignRunner::assemble_report`]; the bit-exact wire
-/// encoding lives in [`crate::wire`].
+/// The compact per-mission record the aggregation stage consumes (and the
+/// result journal persists, bit-exactly, through `crate::wire`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MissionRecord {
+pub(crate) struct MissionRecord {
     /// Final mission classification.
-    pub result: MissionResult,
+    pub(crate) result: MissionResult,
     /// Why the system failsafed, when it did.
-    pub failsafe: Option<FailsafeReason>,
+    pub(crate) failsafe: Option<FailsafeReason>,
     /// Distance from touchdown to the true marker, metres (landed missions).
-    pub landing_error: Option<f64>,
+    pub(crate) landing_error: Option<f64>,
     /// Mean marker-detection error, metres (missions that detected at all).
-    pub detection_error: Option<f64>,
+    pub(crate) detection_error: Option<f64>,
     /// Mission wall-clock duration, simulated seconds.
-    pub duration: f64,
+    pub(crate) duration: f64,
     /// Mean simulated CPU utilisation, 0–1.
-    pub mean_cpu: f64,
+    pub(crate) mean_cpu: f64,
     /// Peak simulated memory footprint, MB.
-    pub peak_memory_mb: f64,
+    pub(crate) peak_memory_mb: f64,
     /// Worst planning latency observed, seconds.
-    pub worst_planning_latency: f64,
+    pub(crate) worst_planning_latency: f64,
     /// Final GPS drift magnitude, metres.
-    pub gps_drift: f64,
+    pub(crate) gps_drift: f64,
     /// Frames the marker was geometrically visible in.
-    pub visible_frames: usize,
+    pub(crate) visible_frames: usize,
     /// Visible frames the detector nevertheless missed.
-    pub missed_frames: usize,
+    pub(crate) missed_frames: usize,
     /// The mission's captured trace, when the spec's policy kept it.
-    pub trace: Option<Box<Trace>>,
+    pub(crate) trace: Option<Box<Trace>>,
 }
 
 impl MissionRecord {
@@ -141,7 +126,7 @@ impl MissionRecord {
 /// in flight — those results are discarded so the report stays a pure
 /// function of the decided prefix).
 #[derive(Debug)]
-pub enum MissionSlot {
+pub(crate) enum MissionSlot {
     /// The mission flew; its record feeds the aggregation stage.
     Flown(Box<MissionRecord>),
     /// The mission was cancelled by (or discarded beyond) an early-stop
@@ -160,9 +145,8 @@ fn slot_success(slot: &MissionSlot) -> Option<bool> {
 /// Recomputes the early-stop decision from mission outcomes in job order —
 /// a pure function identical to the live in-flight [`CellProgress`]
 /// decision, whose prefix cursor only ever advances over contiguous
-/// resolved outcomes. The fabric dispatcher replays this over slots merged
-/// from workers; [`CampaignRunner::assemble_report`] replays it for every
-/// transport, so the two paths cannot diverge.
+/// resolved outcomes. [`CampaignRunner::assemble_report`] replays it over
+/// slots a journal recovered as well as freshly flown ones.
 fn replay_early_stop(
     policy: &EarlyStopPolicy,
     outcomes: impl Iterator<Item = Option<bool>>,
@@ -185,10 +169,9 @@ fn replay_early_stop(
 }
 
 /// Aggregates one probe's job-ordered mission outcomes into its
-/// [`ProbeRate`], restricted to the deterministic decided prefix — the
-/// pure aggregation half of [`CampaignRunner::run_probe_rates`], shared
-/// by the distributed fabric dispatcher.
-pub fn probe_rate_from_outcomes(
+/// [`ProbeRate`], restricted to the deterministic decided prefix — how
+/// [`CampaignRunner::run_probe_rates`] reduces a journaled probe.
+fn probe_rate_from_outcomes(
     policy: Option<EarlyStopPolicy>,
     outcomes: &[Option<bool>],
     planned: usize,
@@ -310,7 +293,6 @@ pub struct CampaignRunner {
     recorder: RecorderConfig,
     executor: Arc<MissionExecutor>,
     suites: SuiteCache,
-    transport: Transport,
     journal: Option<Arc<JournalHandle>>,
 }
 
@@ -329,30 +311,8 @@ impl CampaignRunner {
             recorder: RecorderConfig::default(),
             executor: MissionExecutor::global(),
             suites: SuiteCache::global().clone(),
-            transport: Transport::InProcess,
             journal: None,
         }
-    }
-
-    /// Selects the execution transport: in-process (the default) or the
-    /// distributed campaign fabric. A fabric runner requires a registered
-    /// [`crate::transport::DistributedBackend`] (see `mls_fabric::install`)
-    /// and produces byte-identical reports, traces and probe rates.
-    #[must_use]
-    pub fn with_transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// The runner's execution transport.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
-    /// The flight-recorder sizing missions capture traces with (fabric
-    /// workers mirror the dispatcher's sizing from this).
-    pub fn recorder_config(&self) -> RecorderConfig {
-        self.recorder
     }
 
     /// Overrides the directory captured traces are persisted in (default:
@@ -402,18 +362,13 @@ impl CampaignRunner {
     /// Opens this runner's journal for a campaign over `spec` (`None`
     /// when no journal is attached). A campaign-scoped journal enforces
     /// the edited-configuration gate; a search-scoped one admits every
-    /// member spec, keying records by each spec's own hash. Shared with
-    /// the fabric dispatcher, which journals completed leases through the
-    /// same object.
+    /// member spec, keying records by each spec's own hash.
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::Journal`] when the journal cannot be
     /// opened, fails integrity checks, or pins a different configuration.
-    pub fn campaign_journal(
-        &self,
-        spec: &CampaignSpec,
-    ) -> Result<Option<Arc<Journal>>, CampaignError> {
+    fn campaign_journal(&self, spec: &CampaignSpec) -> Result<Option<Arc<Journal>>, CampaignError> {
         match &self.journal {
             None => Ok(None),
             Some(handle) => match handle.scope() {
@@ -431,7 +386,7 @@ impl CampaignRunner {
     ///
     /// Returns [`CampaignError::Journal`] when the journal cannot be
     /// opened or fails integrity checks.
-    pub fn probe_journal(&self) -> Result<Option<Arc<Journal>>, CampaignError> {
+    fn probe_journal(&self) -> Result<Option<Arc<Journal>>, CampaignError> {
         match &self.journal {
             None => Ok(None),
             Some(handle) => handle.open_ambient(None).map(Some),
@@ -537,63 +492,10 @@ impl CampaignRunner {
         self.run_with_shared_suites(spec, &suites)
     }
 
-    /// Runs a single-family campaign over an already-generated scenario
-    /// suite (callers sweeping many specs over the same suite — e.g. the
-    /// falsification search — generate it once and reuse it).
-    ///
-    /// The suite is copied into shared ownership for the executor's job
-    /// closures; callers holding an [`Arc`] suite (from
-    /// [`CampaignRunner::suite`]) should prefer
-    /// [`CampaignRunner::run_with_shared_suites`], which shares instead of
-    /// copying.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, sweeps more than one
-    /// scenario family, or a landing system cannot be assembled.
-    pub fn run_with_scenarios(
-        &self,
-        spec: &CampaignSpec,
-        scenarios: &[Scenario],
-    ) -> Result<CampaignReport, CampaignError> {
-        spec.validate()?;
-        if spec.families.len() != 1 {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "run_with_scenarios takes one suite but the spec sweeps {} families \
-                     (use run or run_with_suites)",
-                    spec.families.len()
-                ),
-            });
-        }
-        self.run_with_shared_suites(spec, &[Arc::new(scenarios.to_vec())])
-    }
-
     /// Runs the campaign over already-generated scenario suites, one per
-    /// entry of [`CampaignSpec::families`], in the same order. Suites are
-    /// copied into shared ownership; prefer
-    /// [`CampaignRunner::run_with_shared_suites`] when the suites are
-    /// already shared.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, the suites do not match
-    /// the grid, or a landing system cannot be assembled.
-    pub fn run_with_suites<S: AsRef<[Scenario]> + Sync>(
-        &self,
-        spec: &CampaignSpec,
-        suites: &[S],
-    ) -> Result<CampaignReport, CampaignError> {
-        let shared: Vec<Arc<Vec<Scenario>>> = suites
-            .iter()
-            .map(|suite| Arc::new(suite.as_ref().to_vec()))
-            .collect();
-        self.run_with_shared_suites(spec, &shared)
-    }
-
-    /// Runs the campaign over shared scenario suites, one per entry of
-    /// [`CampaignSpec::families`], in the same order — the zero-copy path
-    /// the engine itself uses everywhere.
+    /// entry of [`CampaignSpec::families`], in the same order. Callers
+    /// sweeping many specs over the same suites (the falsification search)
+    /// generate them once and share them.
     ///
     /// # Errors
     ///
@@ -625,10 +527,6 @@ impl CampaignRunner {
                     ),
                 });
             }
-        }
-        if let Transport::Fabric { workers } = self.transport {
-            let backend = transport::backend().ok_or_else(no_backend)?;
-            return backend.run_campaign(self, workers.max(1), spec, suites);
         }
         let cells = spec.cells();
         let missions_per_cell = spec.missions_per_cell();
@@ -678,44 +576,30 @@ impl CampaignRunner {
 
     /// Assembles a [`CampaignReport`] from the complete, job-ordered
     /// mission slots of a campaign batch — the aggregation half of
-    /// [`CampaignRunner::run_with_shared_suites`], shared verbatim by the
-    /// distributed fabric dispatcher so a sharded run cannot drift from
-    /// the in-process result.
+    /// [`CampaignRunner::run_with_shared_suites`].
     ///
     /// The early-stop decision is recomputed here as a pure function of
     /// the slot outcomes in job order (identical to the live in-flight
-    /// decision — see `replay_early_stop` in this module), every slot
-    /// beyond a cell's decided prefix is discarded before anything is
-    /// recorded, and kept
+    /// decision — see `replay_early_stop`), every slot beyond a cell's
+    /// decided prefix is discarded before anything is recorded, and kept
     /// traces are persisted under this runner's trace directory in
     /// deterministic grid order.
     ///
     /// # Errors
     ///
-    /// Returns an error when the spec is invalid, the slot count does not
-    /// match the spec's grid, or persisting a kept trace fails.
-    pub fn assemble_report(
+    /// Returns an error when persisting a kept trace or the corpus index
+    /// fails.
+    fn assemble_report(
         &self,
         spec: &CampaignSpec,
         mut slots: Vec<MissionSlot>,
     ) -> Result<CampaignReport, CampaignError> {
-        spec.validate()?;
         let cells = spec.cells();
         let missions_per_cell = spec.missions_per_cell();
-        if slots.len() != cells.len() * missions_per_cell {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "{} mission slots supplied but the spec's grid plans {}",
-                    slots.len(),
-                    cells.len() * missions_per_cell
-                ),
-            });
-        }
 
         // Enforce the deterministic early-stop prefix: results beyond a
         // cell's decided prefix (flown speculatively while the decision
-        // landed, or flown by a fabric worker under a partial lease) are
-        // discarded before anything is recorded.
+        // landed) are discarded before anything is recorded.
         let mut early_summaries = vec![None; cells.len()];
         if let Some(policy) = spec.probe_early_stop {
             for (cell_index, summary) in early_summaries.iter_mut().enumerate() {
@@ -761,13 +645,13 @@ impl CampaignRunner {
 
         // Persist the kept traces (in deterministic grid order) and link
         // them from the report, each with its triage verdict. Traces land
-        // under *this* runner's trace directory whatever process flew them,
-        // which is what keeps refly/replay working against fabric-run
+        // under *this* runner's trace directory whichever incarnation flew
+        // them, which is what keeps refly/replay working against resumed
         // reports. The same loop ingests every kept trace into the corpus
-        // index written next to the files: because all transports funnel
-        // their job-ordered slots through this one assembly point, the
-        // index — like the report and the traces — is a pure function of
-        // (spec, seed), byte-identical across worker counts and failover.
+        // index written next to the files: because fresh and journaled
+        // slots alike funnel through this one assembly point, the index —
+        // like the report and the traces — is a pure function of (spec,
+        // seed), byte-identical across thread counts and resumes.
         let trace_dir = self.trace_dir(spec);
         let mut traces = Vec::new();
         let mut corpus = TraceCorpus::create(&trace_dir);
@@ -847,188 +731,16 @@ impl CampaignRunner {
         })
     }
 
-    /// Flies the mission range `start..end` of one grid cell sequentially
-    /// in job order on this runner's executor — the unit of work a fabric
-    /// worker performs for one lease. A whole-cell lease (`start == 0`)
-    /// applies the spec's early-stop policy locally, skipping missions
-    /// beyond the decided prefix exactly as the in-process run would; a
-    /// partial-range lease flies everything and leaves the prefix
-    /// discipline to [`CampaignRunner::assemble_report`] on the
-    /// dispatcher.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, the suites do not match
-    /// the grid, the cell or range is outside the schedule, or a mission
-    /// fails to assemble.
-    pub fn fly_cell_range(
-        &self,
-        spec: &CampaignSpec,
-        suites: &[Arc<Vec<Scenario>>],
-        cell_index: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<MissionSlot>, CampaignError> {
-        spec.validate()?;
-        if suites.len() != spec.families.len() {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "{} scenario suites supplied but the spec sweeps {} families",
-                    suites.len(),
-                    spec.families.len()
-                ),
-            });
-        }
-        let missions_per_cell = spec.missions_per_cell();
-        let cell =
-            spec.cells()
-                .into_iter()
-                .nth(cell_index)
-                .ok_or_else(|| CampaignError::InvalidSpec {
-                    reason: format!("cell {cell_index} is outside the grid"),
-                })?;
-        if start > end || end > missions_per_cell {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "mission range {start}..{end} is outside the cell's schedule of {missions_per_cell}"
-                ),
-            });
-        }
-        let suite = suites[cell.suite_index].clone();
-        if suite.len() != spec.maps * spec.scenarios_per_map {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "the {} scenario suite has {} scenarios but the spec's grid needs {}",
-                    cell.family.label(),
-                    suite.len(),
-                    spec.maps * spec.scenarios_per_map
-                ),
-            });
-        }
-        let config_hash = spec.config_hash()?;
-
-        struct RangeContext {
-            spec: CampaignSpec,
-            cell: CampaignCell,
-            suite: Arc<Vec<Scenario>>,
-            progress: Option<CellProgress>,
-            recorder: Option<RecorderConfig>,
-            config_hash: u64,
-            start: usize,
-        }
-        let context = Arc::new(RangeContext {
-            progress: (start == 0)
-                .then_some(spec.probe_early_stop)
-                .flatten()
-                .map(|policy| CellProgress::new(policy, missions_per_cell)),
-            spec: spec.clone(),
-            cell,
-            suite,
-            recorder: spec.capture.captures().then_some(self.recorder),
-            config_hash,
-            start,
-        });
-        let job = context.clone();
-        let results: Vec<Result<MissionSlot, CampaignError>> =
-            self.executor
-                .execute(end - start, self.threads, move |index| {
-                    let within = job.start + index;
-                    let scenario = &job.suite[within % job.suite.len()];
-                    let repeat = within / job.suite.len();
-                    if job
-                        .progress
-                        .as_ref()
-                        .is_some_and(|progress| progress.should_skip(within))
-                    {
-                        if mls_obs::enabled() {
-                            instruments::missions_skipped().inc();
-                        }
-                        return Ok(MissionSlot::Skipped);
-                    }
-                    let (outcome, trace) = fly_mission(
-                        &job.spec,
-                        &job.cell,
-                        scenario,
-                        repeat,
-                        job.config_hash,
-                        job.recorder.as_ref(),
-                    )?;
-                    if let Some(progress) = &job.progress {
-                        progress.record(within, outcome.result == MissionResult::Success);
-                    }
-                    if mls_obs::enabled() {
-                        record_mission_outcome(outcome.result);
-                    }
-                    let mut record = MissionRecord::from_outcome(&outcome);
-                    record.trace = trace
-                        .filter(|_| job.spec.capture.keeps(outcome.result))
-                        .map(Box::new);
-                    Ok(MissionSlot::Flown(Box::new(record)))
-                });
-        let mut slots = Vec::with_capacity(end - start);
-        for result in results {
-            slots.push(result?);
-        }
-        Ok(slots)
-    }
-
-    /// Flies every planned mission of one single-cell probe spec on this
-    /// runner's executor, returning the job-ordered outcomes — the unit of
-    /// work a fabric worker performs for one probe lease. The probe's
-    /// early-stop policy applies locally; the dispatcher reduces the
-    /// outcomes with [`probe_rate_from_outcomes`], which restricts to the
-    /// same decided prefix the in-process path uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, expands to more than one
-    /// cell, the suite does not match, or a mission fails to assemble.
-    pub fn fly_probe_outcomes(
-        &self,
-        spec: &CampaignSpec,
-        scenarios: Arc<Vec<Scenario>>,
-    ) -> Result<Vec<Option<bool>>, CampaignError> {
-        let missions = Self::validate_probe_specs(std::slice::from_ref(spec), &scenarios)?;
-        let cell = spec
-            .cells()
-            .into_iter()
-            .next()
-            .expect("validated single cell");
-        let progress = spec
-            .probe_early_stop
-            .map(|policy| CellProgress::new(policy, missions));
-        let context = Arc::new(ProbeSetContext {
-            probes: vec![ProbeJob {
-                spec: spec.clone(),
-                cell,
-                progress,
-            }],
-            scenarios,
-            missions_per_probe: missions,
-        });
-        let job_context = context.clone();
-        let results: Vec<Result<Option<bool>, CampaignError>> =
-            self.executor.execute(missions, self.threads, move |index| {
-                run_probe_mission_job(&job_context, index)
-            });
-        let mut outcomes = Vec::with_capacity(missions);
-        for result in results {
-            outcomes.push(result?);
-        }
-        Ok(outcomes)
-    }
-
     /// Validates a batch of single-cell probe specs against a shared
     /// scenario suite (each spec expands to exactly one cell, matches the
     /// suite's dimensions and shares one mission schedule), returning the
-    /// common missions-per-probe count. Used by both the in-process
-    /// [`CampaignRunner::run_probe_rates`] and the fabric dispatcher.
+    /// common missions-per-probe count.
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::InvalidSpec`] describing the first
     /// violation.
-    pub fn validate_probe_specs(
+    fn validate_probe_specs(
         specs: &[CampaignSpec],
         scenarios: &[Scenario],
     ) -> Result<usize, CampaignError> {
@@ -1092,10 +804,6 @@ impl CampaignRunner {
             return Ok(Vec::new());
         }
         let missions_per_probe = Self::validate_probe_specs(&specs, &scenarios)?;
-        if let Transport::Fabric { workers } = self.transport {
-            let backend = transport::backend().ok_or_else(no_backend)?;
-            return backend.run_probes(self, workers.max(1), &specs, &scenarios);
-        }
         // With a journal attached, probes a previous incarnation completed
         // are replayed from their journaled outcome vectors (reduced by
         // the same pure prefix aggregation the live path uses) and only
@@ -1253,24 +961,6 @@ impl CampaignRunner {
             .iter()
             .map(|&family| self.suite(spec, family))
             .collect()
-    }
-
-    /// Generates one scenario suite per family of the spec (the owned-copy
-    /// form of [`CampaignRunner::suites_for`], kept for callers that want
-    /// to mutate or persist the suites).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the scenario generator rejects the dimensions.
-    pub fn generate_suites(
-        &self,
-        spec: &CampaignSpec,
-    ) -> Result<Vec<Vec<Scenario>>, CampaignError> {
-        Ok(self
-            .suites_for(spec)?
-            .into_iter()
-            .map(|suite| suite.as_ref().clone())
-            .collect())
     }
 
     /// Re-executes the mission a trace header describes and returns the
@@ -1739,7 +1429,7 @@ mod tests {
     fn mismatched_scenario_suite_is_rejected() {
         let spec = CampaignSpec::smoke();
         let err = CampaignRunner::new(1)
-            .run_with_scenarios(&spec, &[])
+            .run_with_shared_suites(&spec, &[Arc::new(Vec::new())])
             .unwrap_err();
         assert!(err.to_string().contains("scenario suite"));
     }

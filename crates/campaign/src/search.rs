@@ -1007,17 +1007,6 @@ impl FalsificationSearch {
         self
     }
 
-    /// Selects the execution transport of the search's probe campaigns:
-    /// in-process (the default) or the distributed campaign fabric. The
-    /// search itself (ask/tell loop, minimization, capture) stays on the
-    /// dispatcher; only mission batches fan out, and results are
-    /// byte-identical either way.
-    #[must_use]
-    pub fn with_transport(mut self, transport: crate::transport::Transport) -> Self {
-        self.runner = self.runner.with_transport(transport);
-        self
-    }
-
     /// Runs only the search stage — baseline plus searcher, no
     /// minimization, no capture. The perf suite times this against both
     /// [`ProbeExecution`] modes.
@@ -1127,7 +1116,7 @@ impl FalsificationSearch {
         })
     }
 
-    /// Builds the memoised oracle over the configured probe transport, runs
+    /// Builds the memoised oracle over the runner's probe batches, runs
     /// the baseline campaign and primes the origin when it is a no-op.
     fn search_oracle<'a>(
         &'a self,

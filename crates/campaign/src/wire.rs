@@ -1,14 +1,16 @@
-//! Bit-exact wire encoding of mission results for the distributed fabric.
+//! Bit-exact encoding of mission results for the result journal.
 //!
-//! The fabric protocol is JSON, and JSON float formatting is the classic
-//! way to lose byte-identity across a process boundary. Every `f64` a
-//! worker ships back is therefore transported as its IEEE-754 bit pattern
-//! (`f64::to_bits`, a lossless `u64`), and enums travel as small integer
-//! codes — so a [`MissionRecord`] reconstructed on the dispatcher is
-//! *bitwise* equal to the one the worker measured, and the aggregated
-//! [`crate::CampaignReport`] cannot drift. Captured traces ride along as
-//! their canonical JSONL rendering ([`mls_trace::Trace::to_jsonl`]), the
-//! exact bytes the dispatcher persists.
+//! JSON float formatting is the classic way to lose byte-identity across
+//! a crash and resume. Every `f64` a journaled slot carries is therefore
+//! stored as its IEEE-754 bit pattern (`f64::to_bits`, a lossless `u64`),
+//! and enums as small integer codes — so a [`MissionRecord`] a resumed
+//! run recovers is *bitwise* equal to the one the original run measured,
+//! and the aggregated [`crate::CampaignReport`] cannot drift. Captured
+//! traces ride along as their canonical JSONL rendering
+//! ([`mls_trace::Trace::to_jsonl`]), the exact bytes the runner persists.
+//!
+//! Every decoding failure is a [`CampaignError::Journal`]: a record that
+//! parses as JSON but does not decode is journal corruption.
 
 use mls_core::{FailsafeReason, MissionResult};
 use mls_trace::Trace;
@@ -18,7 +20,7 @@ use crate::runner::{MissionRecord, MissionSlot};
 use crate::CampaignError;
 
 fn err(reason: impl Into<String>) -> CampaignError {
-    CampaignError::Distributed(reason.into())
+    CampaignError::Journal(reason.into())
 }
 
 fn bits(value: f64) -> Value {
@@ -33,7 +35,7 @@ fn field_u64(value: &Value, key: &str) -> Result<u64, CampaignError> {
     value
         .get(key)
         .and_then(Value::as_u64)
-        .ok_or_else(|| err(format!("wire record is missing field '{key}'")))
+        .ok_or_else(|| err(format!("journaled slot is missing field '{key}'")))
 }
 
 fn field_bits(value: &Value, key: &str) -> Result<f64, CampaignError> {
@@ -78,9 +80,8 @@ fn failsafe_from_code(code: u64) -> Result<FailsafeReason, CampaignError> {
     }
 }
 
-/// Encodes one probe outcome as its wire code: `0` skipped, `1` failure,
-/// `2` success. Shared by the fabric probe-result frames and the result
-/// journal, so both surfaces speak the same encoding.
+/// Encodes one probe outcome as its journal code: `0` skipped, `1`
+/// failure, `2` success.
 pub fn probe_outcome_code(outcome: Option<bool>) -> u64 {
     match outcome {
         None => 0,
@@ -93,7 +94,7 @@ pub fn probe_outcome_code(outcome: Option<bool>) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::Distributed`] on an unknown code.
+/// Returns [`CampaignError::Journal`] on an unknown code.
 pub fn probe_outcome_from_code(code: u64) -> Result<Option<bool>, CampaignError> {
     match code {
         0 => Ok(None),
@@ -103,7 +104,7 @@ pub fn probe_outcome_from_code(code: u64) -> Result<Option<bool>, CampaignError>
     }
 }
 
-/// Encodes one mission slot for the wire.
+/// Encodes one mission slot for the journal.
 ///
 /// # Errors
 ///
@@ -156,13 +157,13 @@ pub fn slot_to_value(slot: &MissionSlot) -> Result<Value, CampaignError> {
     Ok(Value::Object(fields))
 }
 
-/// Decodes one wire mission slot back into the aggregation-stage record.
+/// Decodes one journaled mission slot back into the aggregation-stage
+/// record.
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::Distributed`] on missing fields or unknown
-/// codes, and [`CampaignError::Trace`] when an embedded trace is
-/// malformed.
+/// Returns [`CampaignError::Journal`] on missing fields, unknown codes or
+/// a malformed embedded trace.
 pub fn slot_from_value(value: &Value) -> Result<MissionSlot, CampaignError> {
     if value.get("skipped").and_then(Value::as_bool) == Some(true) {
         return Ok(MissionSlot::Skipped);
@@ -179,9 +180,9 @@ pub fn slot_from_value(value: &Value) -> Result<MissionSlot, CampaignError> {
             let text = raw
                 .as_str()
                 .ok_or_else(|| err("trace_jsonl is not a string"))?;
-            Some(Box::new(
-                Trace::from_jsonl(text).map_err(CampaignError::Trace)?,
-            ))
+            Some(Box::new(Trace::from_jsonl(text).map_err(|e| {
+                err(format!("journaled trace is malformed: {e}"))
+            })?))
         }
     };
     let failsafe = match value.get("failsafe") {
@@ -255,7 +256,10 @@ mod tests {
                 *slot = Value::Number(Number::PosInt(9));
             }
         }
-        assert!(slot_from_value(&value).is_err());
+        assert!(matches!(
+            slot_from_value(&value),
+            Err(CampaignError::Journal(reason)) if reason.contains("unknown mission-result code 9")
+        ));
     }
 
     #[test]

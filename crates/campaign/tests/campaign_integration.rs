@@ -144,19 +144,17 @@ fn multi_family_campaign_is_thread_count_independent_and_family_major() {
     // distinct per-family seed, so the two cells cannot be copies of each
     // other even though they fly the same variant and mission seeds.
     let runner = CampaignRunner::new(1);
-    let suites = runner.generate_suites(&spec).unwrap();
+    let suites = runner.suites_for(&spec).unwrap();
     assert_eq!(suites.len(), 2);
     assert_ne!(suites[0], suites[1]);
     assert!(suites[1]
         .iter()
         .all(|s| s.family == ScenarioFamily::ConstrainedPad));
 
-    // Feeding the suites back through run_with_suites reproduces run().
-    let replayed = runner.run_with_suites(&spec, &suites).unwrap();
+    // Feeding the suites back through run_with_shared_suites reproduces
+    // run().
+    let replayed = runner.run_with_shared_suites(&spec, &suites).unwrap();
     assert_eq!(single.to_json().unwrap(), replayed.to_json().unwrap());
-
-    // run_with_scenarios refuses the ambiguity of a multi-family spec.
-    assert!(runner.run_with_scenarios(&spec, &suites[0]).is_err());
 
     // Scenario ids restart at 0 per family suite, so refly must reject a
     // suite from the wrong family instead of re-flying the same-id scenario

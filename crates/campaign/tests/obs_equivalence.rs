@@ -110,7 +110,6 @@ fn reports_and_traces_are_byte_identical_with_obs_on_and_off() {
         exposition: true,
         progress: false,
         dir: obs_dir,
-        tag: None,
     });
     assert!(fresh, "this test owns its process's obs state");
     assert!(mls_obs::enabled(), "both sinks are configured");

@@ -278,6 +278,61 @@ fn resume_rejects_a_journal_whose_spec_was_edited() {
     );
 }
 
+/// The value under `key` in a JSON object.
+fn field_mut<'a>(value: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+    let serde_json::Value::Object(fields) = value else {
+        panic!("expected a JSON object holding '{key}'");
+    };
+    fields
+        .iter_mut()
+        .find_map(|(name, field)| (name == key).then_some(field))
+        .unwrap_or_else(|| panic!("object has no field '{key}'"))
+}
+
+#[test]
+fn resume_rejects_a_journaled_slot_that_does_not_decode() {
+    let spec = tiny_spec("resume-corrupt-slot");
+    let journal = journal_path("resume-corrupt-slot");
+    let _ = fs::remove_file(&journal);
+    let dir = trace_root("resume-corrupt-slot");
+    wipe(&dir);
+    CampaignRunner::new(2)
+        .with_journal(&journal)
+        .with_trace_dir(&dir)
+        .run(&spec)
+        .expect("journaled run");
+
+    // Give the first slot a result code no mission produces. The record
+    // still parses as JSON, so only decoding the slot can catch it.
+    let full = fs::read_to_string(&journal).expect("read journal");
+    let mut doctored = String::new();
+    let mut tampered = false;
+    for line in full.lines() {
+        let mut record: serde_json::Value = serde_json::parse(line).expect("parse record");
+        if !tampered && record.get("t").and_then(|kind| kind.as_str()) == Some("slot") {
+            *field_mut(field_mut(&mut record, "slot"), "result") =
+                serde_json::Value::Number(serde_json::Number::PosInt(9));
+            doctored.push_str(&serde_json::to_string(&record).expect("serialise record"));
+            tampered = true;
+        } else {
+            doctored.push_str(line);
+        }
+        doctored.push('\n');
+    }
+    assert!(tampered, "the journal must hold a slot record to tamper");
+    fs::write(&journal, doctored).expect("write doctored journal");
+
+    wipe(&dir);
+    let err = CampaignRunner::new(2)
+        .with_trace_dir(&dir)
+        .resume(&journal)
+        .expect_err("a slot that does not decode must be refused");
+    assert!(
+        matches!(&err, CampaignError::Journal(reason) if reason.contains("unknown mission-result code 9")),
+        "unexpected error: {err}"
+    );
+}
+
 #[test]
 fn falsification_search_resumes_byte_identically() {
     let config = FalsificationConfig {

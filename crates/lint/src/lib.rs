@@ -1,30 +1,30 @@
 //! `mls-lint` — determinism & protocol-safety static analysis.
 //!
 //! Every guarantee this workspace makes — byte-identical reports at any
-//! thread count (`batched_equivalence`), any fabric worker count
-//! (`fabric_equivalence`), obs on or off (`obs_equivalence`) — was enforced
-//! only dynamically, by mission-flying test suites that catch a violation
-//! minutes after it is written. This crate is the static half of that
-//! contract: a source-level analyzer built on a small hand-rolled lexer
-//! (no `syn`) that walks the workspace in well under a second and enforces
-//! the determinism invariants of `docs/ARCHITECTURE.md` and `docs/FABRIC.md`
-//! as machine-checked rules:
+//! thread count (`batched_equivalence`), across a crash and resume
+//! (`resume_equivalence`), obs on or off (`obs_equivalence`) — was
+//! enforced only dynamically, by mission-flying test suites that catch a
+//! violation minutes after it is written. This crate is the static half of
+//! that contract: a source-level analyzer built on a small hand-rolled
+//! lexer (no `syn`) that walks the workspace in well under a second and
+//! enforces the determinism invariants of `docs/ARCHITECTURE.md` as
+//! machine-checked rules:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | D001 | no `HashMap`/`HashSet` in serialization paths (order → bytes) |
 //! | D002 | wall-clock reads only in `mls-obs`/`mls-bench` or obs-gated |
-//! | D003 | `thread::spawn` only in `MissionExecutor` + fabric dispatcher/worker |
+//! | D003 | `thread::spawn` only in `MissionExecutor` |
 //! | D004 | no unseeded entropy anywhere (OS RNG, `RandomState`) |
 //! | D005 | no text-formatted floats in wire paths (`to_bits` only) |
-//! | D006 | no `unwrap`/`expect`/`panic!` in worker protocol paths |
 //! | D007 | no bare `File::create`/`fs::write` in artifact paths (atomic_write only) |
 //!
-//! Violations are suppressible only via `// mls-lint: allow(D00x): <reason>`
-//! with a mandatory reason, and a *stale* allow (one that no longer
-//! suppresses anything) is an error in its own right. `docs/LINT.md` is the
-//! full catalog with rationale; `cargo run -p mls-lint` checks the tree and
-//! writes `target/reports/lint.json`.
+//! D006 is retired and its ID is never reused. Violations are suppressible
+//! only via `// mls-lint: allow(D00x): <reason>` with a mandatory reason,
+//! and a *stale* allow (one that no longer suppresses anything) is an
+//! error in its own right. `docs/LINT.md` is the full catalog with
+//! rationale; `cargo run -p mls-lint` checks the tree and writes
+//! `target/reports/lint.json`.
 
 #![forbid(unsafe_code)]
 

@@ -1,4 +1,5 @@
-//! The D001–D007 rule catalog and the `mls-lint: allow` machinery.
+//! The D001–D005 and D007 rule catalog and the `mls-lint: allow`
+//! machinery (D006 is retired, never reused).
 //!
 //! Every rule is a pass over the lexed token stream of one file, scoped by
 //! the file's [`FileClass`] (which protocol surfaces the path belongs to)
@@ -14,7 +15,7 @@ use crate::report::{Finding, Suppressed};
 
 /// The rule identifiers, in catalog order. `A000`/`A001` are the
 /// meta-rules (malformed and stale allows) and cannot be allowed away.
-pub const RULES: [&str; 7] = ["D001", "D002", "D003", "D004", "D005", "D006", "D007"];
+pub const RULES: [&str; 6] = ["D001", "D002", "D003", "D004", "D005", "D007"];
 
 /// Which restricted surfaces a file belongs to. Derived from the
 /// workspace-relative path by [`classify`]; fixture files (named
@@ -28,16 +29,13 @@ pub struct FileClass {
     /// D005 applies: wire/frame encoders, where floats must cross as
     /// `to_bits` and never as formatted text.
     pub wire: bool,
-    /// D003 *exempt*: the `MissionExecutor` pool and the fabric
-    /// dispatcher/worker — the only sanctioned thread-spawn sites.
+    /// D003 *exempt*: the `MissionExecutor` pool — the only sanctioned
+    /// thread-spawn site.
     pub spawn_sanctioned: bool,
     /// D002 *exempt*: `mls-obs` (the clock belongs to observability) and
     /// `mls-bench` (wall-clock measurement is its purpose; `BENCH_perf.json`
     /// is expected to vary run to run).
     pub clock_exempt: bool,
-    /// D006 applies: fabric worker protocol paths, which must exit with a
-    /// protocol error code instead of aborting mid-frame.
-    pub worker_protocol: bool,
     /// D007 applies: artifact writer paths, where durable outputs must go
     /// through `mls_obs::atomic_write` (tmp + fsync + rename) so a crash
     /// never leaves a torn file under the final name.
@@ -52,7 +50,6 @@ impl FileClass {
             wire: true,
             spawn_sanctioned: false,
             clock_exempt: false,
-            worker_protocol: true,
             artifact: true,
         }
     }
@@ -60,7 +57,7 @@ impl FileClass {
 
 /// Classifies a workspace-relative path (forward slashes) onto the
 /// restricted surfaces. The path lists mirror the protocol surfaces named
-/// in `docs/ARCHITECTURE.md` ("Determinism contract") and `docs/FABRIC.md`.
+/// in `docs/ARCHITECTURE.md` ("Determinism contract").
 pub fn classify(rel: &str) -> FileClass {
     let name = rel.rsplit('/').next().unwrap_or(rel);
     if name.starts_with("fixture_") {
@@ -72,27 +69,13 @@ pub fn classify(rel: &str) -> FileClass {
             "crates/campaign/src/report.rs"
                 | "crates/campaign/src/wire.rs"
                 | "crates/campaign/src/spec.rs"
-                | "crates/fabric/src/protocol.rs"
         );
     let wire = matches!(
         rel,
-        "crates/campaign/src/wire.rs"
-            | "crates/fabric/src/protocol.rs"
-            | "crates/trace/src/format.rs"
+        "crates/campaign/src/wire.rs" | "crates/trace/src/format.rs"
     );
-    let spawn_sanctioned = matches!(
-        rel,
-        "crates/campaign/src/executor.rs"
-            | "crates/fabric/src/dispatcher.rs"
-            | "crates/fabric/src/worker.rs"
-    );
+    let spawn_sanctioned = rel == "crates/campaign/src/executor.rs";
     let clock_exempt = rel.starts_with("crates/obs/src/") || rel.starts_with("crates/bench/src/");
-    let worker_protocol = matches!(
-        rel,
-        "crates/fabric/src/worker.rs"
-            | "crates/fabric/src/protocol.rs"
-            | "crates/fabric/src/bin/mls-fabric-worker.rs"
-    );
     let artifact = rel.starts_with("crates/trace/src/")
         || rel.starts_with("crates/obs/src/")
         || rel.starts_with("crates/bench/src/")
@@ -108,7 +91,6 @@ pub fn classify(rel: &str) -> FileClass {
         wire,
         spawn_sanctioned,
         clock_exempt,
-        worker_protocol,
         artifact,
     }
 }
@@ -291,7 +273,7 @@ fn collect_allows(view: &FileView<'_>, file: &str, findings: &mut Vec<Finding>) 
         };
         if !RULES.contains(&rule) {
             fail(format!(
-                "unknown rule `{rule}` in allow (catalog: D001-D007)"
+                "unknown rule `{rule}` in allow (catalog: D001-D005, D007; D006 is retired)"
             ));
             continue;
         }
@@ -404,9 +386,8 @@ pub fn check_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Ve
                     "thread" if !class.spawn_sanctioned && path_call("spawn") => emit(
                         "D003",
                         line,
-                        "thread::spawn outside MissionExecutor and the fabric \
-                         dispatcher/worker: ad-hoc threads break the deterministic \
-                         scheduling argument"
+                        "thread::spawn outside MissionExecutor: ad-hoc threads \
+                         break the deterministic scheduling argument"
                             .into(),
                     ),
                     "OsRng" | "ThreadRng" | "thread_rng" | "from_entropy" | "getrandom"
@@ -448,28 +429,6 @@ pub fn check_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Ve
                                     .into(),
                             );
                         }
-                    }
-                    "unwrap" | "expect"
-                        if class.worker_protocol && view.is_punct(view.rel(pos, -1), ".") =>
-                    {
-                        emit(
-                            "D006",
-                            line,
-                            format!(
-                                ".{name}() in a fabric worker protocol path: workers \
-                                 must exit with a protocol error code, never abort \
-                                 mid-frame"
-                            ),
-                        );
-                    }
-                    "panic" if class.worker_protocol && view.is_punct(view.rel(pos, 1), "!") => {
-                        emit(
-                            "D006",
-                            line,
-                            "panic! in a fabric worker protocol path: workers must \
-                             exit with a protocol error code, never abort mid-frame"
-                                .into(),
-                        );
                     }
                     "File" if class.artifact && path_call("create") => emit(
                         "D007",
@@ -574,8 +533,8 @@ mod tests {
         assert!(classify("crates/trace/src/format.rs").serialization);
         assert!(classify("crates/trace/src/format.rs").wire);
         assert!(classify("crates/campaign/src/wire.rs").wire);
-        assert!(classify("crates/fabric/src/worker.rs").worker_protocol);
-        assert!(classify("crates/fabric/src/worker.rs").spawn_sanctioned);
+        assert!(classify("crates/campaign/src/executor.rs").spawn_sanctioned);
+        assert!(!classify("crates/campaign/src/runner.rs").spawn_sanctioned);
         assert!(classify("crates/obs/src/span.rs").clock_exempt);
         assert!(classify("crates/bench/src/bin/perfsuite.rs").clock_exempt);
         assert!(classify("crates/trace/src/corpus.rs").artifact);

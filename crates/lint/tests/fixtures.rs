@@ -26,7 +26,7 @@ fn fixture_files() -> Vec<String> {
 
 #[test]
 fn every_rule_has_a_pinned_positive_and_negative_case() {
-    for rule in ["D001", "D002", "D003", "D004", "D005", "D006", "D007"] {
+    for rule in mls_lint::rules::RULES {
         let lower = rule.to_lowercase();
         let bad = lint_files(&fixtures_root(), &[format!("fixture_{lower}_bad.rs")])
             .expect("lint bad fixture");

@@ -15,12 +15,6 @@
 //!
 //! `MLS_OBS_DIR` overrides where artifacts land (default
 //! `target/reports/obs`).
-//!
-//! `MLS_OBS_TAG` names the process inside a shared artifact directory:
-//! when set, file artifacts become `obs-<tag>-<pid>.jsonl` /
-//! `metrics-<tag>-<pid>.prom`. The campaign fabric sets it to
-//! `worker-<id>` on every worker it spawns, so a distributed run's merged
-//! artifact directory stays collision-free and attributable.
 
 use std::path::PathBuf;
 
@@ -38,10 +32,6 @@ pub struct ObsConfig {
     pub progress: bool,
     /// Directory the JSONL log and exposition dump land in.
     pub dir: PathBuf,
-    /// Artifact-name tag (`MLS_OBS_TAG`), infixed into file-sink names —
-    /// `obs-<tag>-<pid>.jsonl` instead of `obs-<pid>.jsonl`. Set by the
-    /// campaign fabric to `worker-<id>` on spawned workers.
-    pub tag: Option<String>,
 }
 
 impl ObsConfig {
@@ -52,7 +42,6 @@ impl ObsConfig {
             exposition: false,
             progress: false,
             dir: PathBuf::from(DEFAULT_DIR),
-            tag: None,
         }
     }
 
@@ -107,29 +96,12 @@ impl ObsConfig {
         config
     }
 
-    /// Sets the artifact-name tag, sanitised to `[A-Za-z0-9._-]` so the
-    /// result is always a safe file-name fragment; an empty (or
-    /// fully-stripped) tag clears it.
-    #[must_use]
-    pub fn with_tag(mut self, tag: Option<&str>) -> Self {
-        self.tag = tag
-            .map(|tag| {
-                tag.chars()
-                    .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-                    .collect::<String>()
-            })
-            .filter(|tag| !tag.is_empty());
-        self
-    }
-
-    /// Reads `MLS_OBS` / `MLS_OBS_DIR` / `MLS_OBS_TAG` from the process
-    /// environment.
+    /// Reads `MLS_OBS` / `MLS_OBS_DIR` from the process environment.
     pub fn from_env() -> Self {
         Self::from_values(
             std::env::var("MLS_OBS").ok().as_deref(),
             std::env::var("MLS_OBS_DIR").ok().as_deref(),
         )
-        .with_tag(std::env::var("MLS_OBS_TAG").ok().as_deref())
     }
 }
 
@@ -177,18 +149,6 @@ mod tests {
     fn unknown_tokens_are_ignored() {
         let config = ObsConfig::from_values(Some("jsonl,flamegraph"), None);
         assert!(config.jsonl && !config.exposition);
-    }
-
-    #[test]
-    fn tag_is_sanitised_to_a_filename_fragment() {
-        let config = ObsConfig::from_values(Some("1"), None).with_tag(Some("worker-3"));
-        assert_eq!(config.tag.as_deref(), Some("worker-3"));
-        let config = ObsConfig::from_values(Some("1"), None).with_tag(Some("a/b\\c worker.0"));
-        assert_eq!(config.tag.as_deref(), Some("abcworker.0"));
-        let config = ObsConfig::from_values(Some("1"), None).with_tag(Some("///"));
-        assert_eq!(config.tag, None);
-        let config = ObsConfig::from_values(Some("1"), None).with_tag(None);
-        assert_eq!(config.tag, None);
     }
 
     #[test]

@@ -67,9 +67,7 @@ struct Obs {
 
 impl Obs {
     fn from_config(config: ObsConfig) -> Self {
-        let events = config
-            .jsonl
-            .then(|| EventLog::new(&config.dir, config.tag.as_deref()));
+        let events = config.jsonl.then(|| EventLog::new(&config.dir));
         let progress = Progress::new(config.progress);
         Self {
             enabled: AtomicBool::new(config.any_sink()),
@@ -219,11 +217,10 @@ pub fn flush() -> Vec<PathBuf> {
         }
     }
     if state.config.exposition && state.enabled.load(Ordering::Relaxed) {
-        let path = state.config.dir.join(sink::artifact_name(
-            "metrics",
-            state.config.tag.as_deref(),
-            "prom",
-        ));
+        let path = state
+            .config
+            .dir
+            .join(sink::artifact_name("metrics", "prom"));
         if atomic_write(&path, Registry::global().exposition().as_bytes()).is_ok() {
             paths.push(path);
         }

@@ -123,15 +123,10 @@ pub fn unix_seconds() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// A per-process artifact file name: `<stem>-<pid>.<ext>`, with the
-/// optional tag infixed — `<stem>-<tag>-<pid>.<ext>` — so processes
-/// sharing one artifact directory (a fabric dispatcher and its workers)
-/// stay collision-free *and* attributable.
-pub fn artifact_name(stem: &str, tag: Option<&str>, ext: &str) -> String {
-    match tag {
-        Some(tag) => format!("{stem}-{tag}-{}.{ext}", std::process::id()),
-        None => format!("{stem}-{}.{ext}", std::process::id()),
-    }
+/// A per-process artifact file name, `<stem>-<pid>.<ext>`, so processes
+/// sharing one artifact directory stay collision-free.
+pub fn artifact_name(stem: &str, ext: &str) -> String {
+    format!("{stem}-{}.{ext}", std::process::id())
 }
 
 /// The append-only JSONL event log. Opens lazily on the first event so a
@@ -145,11 +140,10 @@ pub struct EventLog {
 
 impl EventLog {
     /// A log that will write `obs-<pid>.jsonl` under `dir` when first
-    /// used — or `obs-<tag>-<pid>.jsonl` when a tag names this process
-    /// inside a shared artifact directory (fabric workers).
-    pub fn new(dir: &Path, tag: Option<&str>) -> Self {
+    /// used.
+    pub fn new(dir: &Path) -> Self {
         Self {
-            path: dir.join(artifact_name("obs", tag, "jsonl")),
+            path: dir.join(artifact_name("obs", "jsonl")),
             writer: Mutex::new(None),
         }
     }

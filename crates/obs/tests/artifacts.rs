@@ -21,7 +21,6 @@ fn jsonl_and_exposition_round_trip() {
         exposition: true,
         progress: false,
         dir: dir.clone(),
-        tag: Some("unit".to_string()),
     };
     assert!(
         mls_obs::init(config),
@@ -61,10 +60,10 @@ fn jsonl_and_exposition_round_trip() {
         .iter()
         .find(|p| p.extension().is_some_and(|e| e == "prom"))
         .expect("exposition artifact missing from flush()");
-    // The configured tag is infixed into both artifact names.
+    // Both artifact names carry this process's pid.
     let pid = std::process::id();
-    assert!(jsonl.ends_with(format!("obs-unit-{pid}.jsonl")));
-    assert!(prom.ends_with(format!("metrics-unit-{pid}.prom")));
+    assert!(jsonl.ends_with(format!("obs-{pid}.jsonl")));
+    assert!(prom.ends_with(format!("metrics-{pid}.prom")));
 
     // --- JSONL round-trip ---
     let text = std::fs::read_to_string(jsonl).expect("read JSONL log");

@@ -10,11 +10,11 @@
 //! coordinates, triage class, mission verdict and the dedup
 //! [`FailureSignature`] key.
 //!
-//! The index is written by `CampaignRunner::assemble_report`, which both
-//! the in-process runner and the fabric dispatcher funnel through — so the
-//! index is a pure function of `(spec, seed)` and byte-identical across
-//! transports, worker counts and worker failures, exactly like the report
-//! and the traces themselves (`fabric_equivalence` pins this).
+//! The index is written by the campaign runner's single report-assembly
+//! step, which fresh and journal-recovered mission slots alike funnel
+//! through — so the index is a pure function of `(spec, seed)` and
+//! byte-identical across thread counts and crash/resume, exactly like the
+//! report and the traces themselves (`resume_equivalence` pins this).
 //!
 //! Record paths are stored *relative to the index root*, which is what
 //! makes a corpus relocatable: move or archive the whole directory and

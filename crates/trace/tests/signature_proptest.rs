@@ -2,7 +2,7 @@
 //! pure function of the trace *value*, stable under re-serialization — a
 //! trace written to JSON lines, shipped, archived and parsed back must
 //! produce the byte-identical signature, or dedup would split one failure
-//! mode into two across a fabric hop.
+//! mode into two across a save and reload.
 
 use mls_core::{Directive, FailsafeReason, MissionResult, ObservationStage, SystemVariant};
 use mls_geom::Vec3;

@@ -24,8 +24,6 @@
 //!   sweeps over scenarios × variants × compute profiles × fault plans,
 //!   deterministic JSON/CSV reports, and falsification search for the
 //!   minimal failure-inducing fault intensity.
-//! * [`fabric`] — the multi-process campaign fabric: a sharding dispatcher,
-//!   worker health/failover, and byte-identical distributed aggregation.
 //! * [`trace`] — the flight recorder: ring-buffered per-mission trace
 //!   capture, a versioned JSON-lines format, byte-exact replay verification
 //!   and the Fig. 5 failure-triage classifier.
@@ -59,7 +57,6 @@
 pub use mls_campaign as campaign;
 pub use mls_compute as compute;
 pub use mls_core as core;
-pub use mls_fabric as fabric;
 pub use mls_geom as geom;
 pub use mls_mapping as mapping;
 pub use mls_planning as planning;
