@@ -36,7 +36,7 @@
 
 use std::process::ExitCode;
 
-use mls_bench::{percent, print_header, HarnessOptions};
+use mls_bench::{env_override, percent, print_header, HarnessOptions};
 use mls_campaign::{
     CmaEsConfig, FalsificationConfig, FalsificationSearch, FaultAxis, FaultKind, FaultSpace,
     GridRefinementConfig, Searcher, SpaceFalsification,
@@ -201,7 +201,8 @@ fn main() -> ExitCode {
     // per space, so the default probe suite is tiny (1 map × 2 scenarios);
     // an explicitly set variable wins over the smallness default, because
     // the harness-wide defaults (10×10) would make every probe a Table I.
-    let env_set = |name: &str| std::env::var(name).is_ok();
+    // "Set" follows the harness-wide rule: `0` or garbage means unset.
+    let env_set = |name: &str| env_override(|n| std::env::var(n).ok(), name).is_some();
     let maps = if env_set("MLS_MAPS") { options.maps } else { 1 };
     let scenarios_per_map = if env_set("MLS_SCENARIOS_PER_MAP") {
         options.scenarios_per_map

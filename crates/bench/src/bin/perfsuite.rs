@@ -44,7 +44,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mls_bench::{finish_obs, print_header, HarnessOptions, HostMeta};
+use mls_bench::{env_override, finish_obs, print_header, HarnessOptions, HostMeta};
 use mls_campaign::{
     CampaignRunner, CampaignSpec, CmaEsConfig, FalsificationConfig, FalsificationSearch, FaultAxis,
     FaultKind, FaultPlan, FaultSpace, GridRefinementConfig, ProbeExecution, SearchStage, Searcher,
@@ -567,7 +567,7 @@ fn main() -> ExitCode {
         .unwrap_or(false);
     // Seed 3 is the suite every generation lands clean over (the falsify
     // harness's clean-baseline default); an explicit MLS_SEED wins.
-    let seed = if std::env::var("MLS_SEED").is_ok() {
+    let seed = if env_override(|n| std::env::var(n).ok(), "MLS_SEED").is_some() {
         options.seed
     } else {
         3

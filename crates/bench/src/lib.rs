@@ -31,8 +31,9 @@
 //! | `MLS_SEED` | benchmark seed | 2025 |
 //! | `MLS_QUICK` | set to `1` for a 3×4 smoke benchmark | unset |
 //!
-//! A value of `0` for any `MLS_*` sizing variable means "use the default",
-//! consistently across variables.
+//! A value of `0` (or one that does not parse) for any of these variables
+//! means "use the default", consistently across variables and binaries
+//! ([`env_override`] is the one rule they all apply).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,22 +103,16 @@ impl HarnessOptions {
     /// seam the unit tests use; [`HarnessOptions::from_env`] passes
     /// `std::env::var`).
     ///
-    /// Parsing is strict but forgiving in effect: unset, unparsable and `0`
-    /// values all mean "keep the default", and the thread count is clamped
-    /// to [`MAX_THREADS`].
+    /// Each variable goes through [`env_override`], so unset, unparsable
+    /// and `0` values all mean "keep the default"; the thread count is
+    /// clamped to [`MAX_THREADS`].
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let mut options = if lookup("MLS_QUICK").map(|v| v == "1").unwrap_or(false) {
             Self::quick()
         } else {
             Self::default()
         };
-        // `0` is treated as "unset" for every sizing variable: a disabled
-        // knob falls back to the default instead of silently becoming 1.
-        let read = |name: &str| {
-            lookup(name)
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
+        let read = |name: &str| env_override(&lookup, name).map(|v| v as usize);
         if let Some(v) = read("MLS_MAPS") {
             options.maps = v;
         }
@@ -130,7 +125,7 @@ impl HarnessOptions {
         if let Some(v) = read("MLS_THREADS") {
             options.threads = v.min(MAX_THREADS);
         }
-        if let Some(v) = lookup("MLS_SEED").and_then(|v| v.trim().parse::<u64>().ok()) {
+        if let Some(v) = env_override(&lookup, "MLS_SEED") {
             options.seed = v;
         }
         options
@@ -140,6 +135,18 @@ impl HarnessOptions {
     pub fn missions_per_variant(&self) -> usize {
         self.maps * self.scenarios_per_map * self.repeats
     }
+}
+
+/// The value an `MLS_*` variable overrides its default with: a positive
+/// integer, surrounding whitespace tolerated. Unset, unparsable and `0`
+/// values all return `None` ("use the default"), so a disabled knob never
+/// silently becomes 0 or 1. [`HarnessOptions::from_lookup`] and the
+/// binaries that pick their own defaults (`falsify`, `perfsuite`) share
+/// this rule, so they agree on whether a variable is set.
+pub fn env_override(lookup: impl Fn(&str) -> Option<String>, name: &str) -> Option<u64> {
+    lookup(name)
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .filter(|&v| v > 0)
 }
 
 /// Generates the benchmark scenario suite for a set of options.
@@ -408,6 +415,34 @@ mod tests {
             ("MLS_SEED", "12.5"),
         ]));
         assert_eq!(options, defaults);
+    }
+
+    #[test]
+    fn overrides_accept_only_positive_integers() {
+        for (name, value, expected) in [
+            ("MLS_MAPS", "0", None),
+            ("MLS_MAPS", "x", None),
+            ("MLS_MAPS", "5", Some(5)),
+            ("MLS_SEED", "abc", None),
+            ("MLS_SEED", "0", None),
+            ("MLS_SEED", "7", Some(7)),
+        ] {
+            let pairs = [(name, value)];
+            assert_eq!(
+                env_override(lookup_from(&pairs), name),
+                expected,
+                "{name}={value}"
+            );
+            // The shared options apply the same rule.
+            let options = HarnessOptions::from_lookup(lookup_from(&pairs));
+            let defaults = HarnessOptions::default();
+            let read = match name {
+                "MLS_MAPS" => (options.maps as u64, defaults.maps as u64),
+                _ => (options.seed, defaults.seed),
+            };
+            assert_eq!(read.0, expected.unwrap_or(read.1), "{name}={value}");
+        }
+        assert_eq!(env_override(lookup_from(&[]), "MLS_MAPS"), None);
     }
 
     #[test]

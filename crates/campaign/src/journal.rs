@@ -5,14 +5,13 @@
 //! funnels its job-ordered mission slots through one assembly step,
 //! which normalises slots beyond each cell's decided early-stop prefix
 //! before anything is persisted. The journal exploits exactly that
-//! purity: one fsync'd record per completed work unit (a flown mission
-//! slot, or a probe's full outcome vector), each keyed by the owning
-//! spec's configuration hash, with floats stored as IEEE-754 bit
-//! patterns. A resumed run replays the recovered slots and re-flies only
-//! the missing ones — and because `fly_mission` is itself pure per
-//! (spec, cell, scenario, repeat), the assembled report, traces,
-//! counterexamples and corpus index are byte-identical whether the
-//! campaign was interrupted zero times or N times.
+//! purity: one fsync'd record per completed mission slot, keyed by the
+//! owning spec's configuration hash and the slot's job index, with floats
+//! stored as IEEE-754 bit patterns. A resumed run replays the recovered
+//! slots and re-flies only the missing ones — and because `fly_mission`
+//! is itself pure per (spec, cell, scenario, repeat), the assembled
+//! report, traces, counterexamples and corpus index are byte-identical
+//! whether the campaign was interrupted zero times or N times.
 //!
 //! # On-disk format (`mls-journal-v1`)
 //!
@@ -28,11 +27,11 @@
 //!
 //! ```text
 //! {"n":0,"t":"slot","hash":H,"job":J,"slot":{...wire slot...}}
-//! {"n":1,"t":"probe","hash":H,"planned":P,"outcomes":[0,2,1,...]}
 //! ```
 //!
-//! Probe outcomes are small integer codes: `0` skipped, `1` failure, `2`
-//! success.
+//! A falsification search journals the same records: each searcher
+//! generation is one campaign (a cell per probed point), so its missions
+//! journal and resume slot by slot like any other campaign's.
 //!
 //! # Integrity discipline
 //!
@@ -41,11 +40,11 @@
 //! it describes. On open, a torn **final** line (no trailing newline — the
 //! signature of a crash mid-append) is dropped and truncated away, not
 //! fatal: the run simply re-flies that unit. Everything else is strict —
-//! a complete line that fails to parse, a slot that does not decode, a
-//! sequence gap, an unknown schema, or a scope mismatch is a loud
-//! [`CampaignError::Journal`], because silently skipping interior
-//! corruption would let a damaged journal masquerade as a shorter, valid
-//! one.
+//! a complete line that fails to parse, a slot that does not decode, an
+//! unknown record type, a sequence gap, an unknown schema, or a scope
+//! mismatch is a loud [`CampaignError::Journal`], because silently
+//! skipping interior corruption would let a damaged journal masquerade as
+//! a shorter, valid one.
 //!
 //! Resume against an *edited* configuration is rejected at open time: a
 //! campaign-scope journal pins its spec's configuration hash in the
@@ -62,7 +61,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde_json::{Number, Value};
 
 use crate::spec::CampaignSpec;
-use crate::wire;
 use crate::CampaignError;
 
 /// Schema tag of the journal's header line.
@@ -77,8 +75,8 @@ fn uint(value: u64) -> Value {
 }
 
 /// What a journal file covers: one campaign spec, or a whole
-/// falsification search (whose probes and captures journal under their
-/// own per-spec hashes).
+/// falsification search (whose baseline, probe and capture campaigns
+/// journal under their own per-spec hashes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalScope {
     /// One campaign; the header pins the spec and its configuration hash.
@@ -129,7 +127,6 @@ pub struct Journal {
     path: PathBuf,
     header: JournalHeader,
     slots: BTreeMap<(u64, usize), Value>,
-    probes: BTreeMap<u64, Vec<Option<bool>>>,
     truncated_tail: bool,
     writer: Mutex<Writer>,
 }
@@ -213,7 +210,6 @@ impl Journal {
         };
 
         let mut slots = BTreeMap::new();
-        let mut probes = BTreeMap::new();
         let mut next_seq = 0u64;
         for (index, line) in lines.enumerate() {
             let record = parse_record(line).map_err(|reason| {
@@ -231,21 +227,13 @@ impl Journal {
                 )));
             }
             next_seq += 1;
-            match record.body {
-                RecordBody::Slot { hash, job, slot } => {
-                    slots.insert((hash, job), slot);
-                }
-                RecordBody::Probe { hash, outcomes } => {
-                    probes.insert(hash, outcomes);
-                }
-            }
+            slots.insert((record.hash, record.job), record.slot);
         }
 
         Ok(Self {
             path: path.to_path_buf(),
             header,
             slots,
-            probes,
             truncated_tail,
             writer: Mutex::new(Writer { file, next_seq }),
         })
@@ -262,21 +250,15 @@ impl Journal {
         self.truncated_tail
     }
 
-    /// Records recovered from previous incarnations, all kinds.
+    /// Records recovered from previous incarnations.
     pub fn recovered_records(&self) -> usize {
-        self.slots.len() + self.probes.len()
+        self.slots.len()
     }
 
     /// The journaled wire encoding of mission slot `job` of the spec
     /// hashing to `hash`, when a previous incarnation completed it.
     pub fn recovered_slot(&self, hash: u64, job: usize) -> Option<&Value> {
         self.slots.get(&(hash, job))
-    }
-
-    /// The journaled outcome vector of the probe spec hashing to `hash`,
-    /// when a previous incarnation completed it.
-    pub fn recovered_probe(&self, hash: u64) -> Option<&[Option<bool>]> {
-        self.probes.get(&hash).map(Vec::as_slice)
     }
 
     /// Appends (and fsyncs) one completed mission slot.
@@ -286,54 +268,14 @@ impl Journal {
     /// Returns [`CampaignError::Journal`] when the append cannot be made
     /// durable.
     pub fn append_slot(&self, hash: u64, job: usize, slot: &Value) -> Result<(), CampaignError> {
-        self.append(
-            "slot",
-            hash,
-            vec![
-                ("job".to_string(), uint(job as u64)),
-                ("slot".to_string(), slot.clone()),
-            ],
-        )
-    }
-
-    /// Appends (and fsyncs) one completed probe's full outcome vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::Journal`] when the append cannot be made
-    /// durable.
-    pub fn append_probe(&self, hash: u64, outcomes: &[Option<bool>]) -> Result<(), CampaignError> {
-        self.append(
-            "probe",
-            hash,
-            vec![
-                ("planned".to_string(), uint(outcomes.len() as u64)),
-                (
-                    "outcomes".to_string(),
-                    Value::Array(
-                        outcomes
-                            .iter()
-                            .map(|outcome| uint(wire::probe_outcome_code(*outcome)))
-                            .collect(),
-                    ),
-                ),
-            ],
-        )
-    }
-
-    fn append(
-        &self,
-        kind: &str,
-        hash: u64,
-        fields: Vec<(String, Value)>,
-    ) -> Result<(), CampaignError> {
         let mut writer = self.writer.lock().expect("journal writer poisoned");
-        let mut record = vec![
+        let record = vec![
             ("n".to_string(), uint(writer.next_seq)),
-            ("t".to_string(), Value::String(kind.to_string())),
+            ("t".to_string(), Value::String("slot".to_string())),
             ("hash".to_string(), uint(hash)),
+            ("job".to_string(), uint(job as u64)),
+            ("slot".to_string(), slot.clone()),
         ];
-        record.extend(fields);
         let mut line = serde_json::to_string(&Value::Object(record))
             .map_err(|e| CampaignError::Serialize(e.to_string()))?;
         line.push('\n');
@@ -352,22 +294,12 @@ impl Journal {
     }
 }
 
-/// One parsed journal record.
+/// One parsed journal record: a completed mission slot.
 struct Record {
     seq: u64,
-    body: RecordBody,
-}
-
-enum RecordBody {
-    Slot {
-        hash: u64,
-        job: usize,
-        slot: Value,
-    },
-    Probe {
-        hash: u64,
-        outcomes: Vec<Option<bool>>,
-    },
+    hash: u64,
+    job: usize,
+    slot: Value,
 }
 
 fn field_u64(value: &Value, key: &str) -> Result<u64, String> {
@@ -446,45 +378,20 @@ fn parse_record(line: &str) -> Result<Record, String> {
     let value = serde_json::parse(line).map_err(|e| format!("unparseable record: {e}"))?;
     let seq = field_u64(&value, "n")?;
     let hash = field_u64(&value, "hash")?;
-    let kind = value
-        .get("t")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "record carries no type".to_string())?;
-    let body = match kind {
-        "slot" => RecordBody::Slot {
-            hash,
-            job: field_u64(&value, "job")? as usize,
-            slot: value
-                .get("slot")
-                .cloned()
-                .ok_or_else(|| "slot record carries no slot".to_string())?,
-        },
-        "probe" => {
-            let planned = field_u64(&value, "planned")? as usize;
-            let Some(Value::Array(codes)) = value.get("outcomes") else {
-                return Err("probe record carries no outcomes array".to_string());
-            };
-            if codes.len() != planned {
-                return Err(format!(
-                    "probe record plans {planned} outcomes but carries {}",
-                    codes.len()
-                ));
-            }
-            let outcomes = codes
-                .iter()
-                .map(|code| {
-                    code.as_u64()
-                        .ok_or_else(|| "probe outcome code is not a u64".to_string())
-                        .and_then(|code| {
-                            wire::probe_outcome_from_code(code).map_err(|e| e.to_string())
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            RecordBody::Probe { hash, outcomes }
-        }
-        other => return Err(format!("unknown record type '{other}'")),
-    };
-    Ok(Record { seq, body })
+    match value.get("t").and_then(Value::as_str) {
+        Some("slot") => {}
+        Some(other) => return Err(format!("unknown record type '{other}'")),
+        None => return Err("record carries no type".to_string()),
+    }
+    Ok(Record {
+        seq,
+        hash,
+        job: field_u64(&value, "job")? as usize,
+        slot: value
+            .get("slot")
+            .cloned()
+            .ok_or_else(|| "slot record carries no slot".to_string())?,
+    })
 }
 
 /// A lazily opened journal shared by every run of one
@@ -548,9 +455,9 @@ impl JournalHandle {
         }
     }
 
-    /// Opens the journal without the primary-spec gate — the form the
-    /// probe path and search-member campaigns use, whose records are
-    /// keyed by their own per-spec hashes. A freshly created journal
+    /// Opens the journal without the primary-spec gate — the form
+    /// search-member campaigns use, whose records are keyed by their own
+    /// per-spec hashes. A freshly created journal
     /// pins `spec` in its header when one is given.
     ///
     /// # Errors
@@ -577,6 +484,7 @@ impl JournalHandle {
 mod tests {
     use super::*;
     use crate::runner::MissionSlot;
+    use crate::wire;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mls-journal-{name}-{}", std::process::id()));
@@ -597,18 +505,29 @@ mod tests {
         {
             let journal = open(&path, JournalScope::Campaign);
             journal.append_slot(7, 3, &slot).unwrap();
-            journal
-                .append_probe(9, &[Some(true), None, Some(false)])
-                .unwrap();
         }
         let journal = open(&path, JournalScope::Campaign);
         assert!(!journal.truncated_tail());
-        assert_eq!(journal.recovered_records(), 2);
+        assert_eq!(journal.recovered_records(), 1);
         assert!(journal.recovered_slot(7, 3).is_some());
         assert!(journal.recovered_slot(7, 4).is_none());
-        assert_eq!(
-            journal.recovered_probe(9),
-            Some([Some(true), None, Some(false)].as_slice())
+    }
+
+    #[test]
+    fn probe_records_are_an_unknown_record_type() {
+        // Searches journal per mission slot; a leftover whole-probe record
+        // must fail loudly instead of resuming as a shorter journal.
+        let path = scratch("probe-record");
+        drop(open(&path, JournalScope::Search));
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str("{\"n\":0,\"t\":\"probe\",\"hash\":9,\"planned\":1,\"outcomes\":[2]}\n");
+        fs::write(&path, text).unwrap();
+        let result = JournalHandle::new(path, JournalScope::Search).open_ambient(None);
+        assert!(
+            matches!(&result, Err(CampaignError::Journal(reason))
+                if reason.contains("unknown record type 'probe'")),
+            "{:?}",
+            result.err()
         );
     }
 

@@ -35,8 +35,8 @@
 //!   [`CampaignRunner::replay`](runner::CampaignRunner::replay) re-executes
 //!   any recorded trace and byte-compares the regenerated stream.
 //! * [`journal`] — the crash-safety layer: a versioned write-ahead result
-//!   journal recording one fsync'd record per completed work unit, keyed
-//!   by configuration hash with floats as IEEE-754 bit patterns, so an
+//!   journal recording one fsync'd record per completed mission slot,
+//!   keyed by configuration hash with floats as IEEE-754 bit patterns, so an
 //!   interrupted campaign ([`CampaignRunner::resume`](runner::CampaignRunner::resume))
 //!   re-flies only the missing missions and reproduces its artifacts
 //!   byte-identically.
@@ -47,8 +47,8 @@
 //! * [`search`] — the falsification engine: pluggable [`Searcher`]s
 //!   (coarse-to-fine grid refinement, a small self-contained diagonal
 //!   CMA-ES) driven through an ask/tell batch interface, so a whole
-//!   generation of probes fans out over the executor concurrently
-//!   ([`ProbeExecution`]) while counterexamples and probe logs stay
+//!   generation of probes flies as one campaign, a cell per point, on the
+//!   executor ([`ProbeExecution`]) while counterexamples and probe logs stay
 //!   byte-identical to sequential evaluation; counterexample minimization
 //!   onto the failure frontier, and capture of each minimal failing point
 //!   as a triaged, replay-verified trace linked from the
@@ -131,7 +131,7 @@ pub use mls_trace::{
     CorpusQuery, CorpusRecord, FailureSignature, TraceCorpus, TracePolicy, CORPUS_INDEX_FILE,
 };
 pub use report::{CampaignReport, CellReport, EarlyStopSummary, MetricSummary, TraceLink};
-pub use runner::{CampaignRunner, ProbeRate};
+pub use runner::CampaignRunner;
 pub use search::{
     CmaEsConfig, Counterexample, FalsificationConfig, FalsificationReport, FalsificationSearch,
     GridRefinementConfig, ProbeExecution, ProbePoint, SearchStage, Searcher, SpaceFalsification,

@@ -6,8 +6,9 @@
 //! searches, validates and descends). Every batch therefore runs on the
 //! self-scheduling [`MissionExecutor`] pool: workers claim the next job off
 //! a shared cursor until the batch drains, so load balances automatically —
-//! and the pool's threads persist across campaigns, probes and replay
-//! verification instead of being spun up per call.
+//! and the pool's threads persist across campaigns (falsification probe
+//! generations included) and replay verification instead of being spun up
+//! per call.
 //!
 //! Determinism is preserved by separating *execution* order from
 //! *aggregation* order: each mission's seed is a pure function of its grid
@@ -49,8 +50,6 @@ mod instruments {
         missions_poor_landing,
         "mls_campaign_mission_poor_landing_total"
     );
-    cached_counter!(probe_missions, "mls_campaign_probe_missions_total");
-    cached_counter!(probe_skipped, "mls_campaign_probe_missions_skipped_total");
     cached_counter!(early_stops, "mls_campaign_early_stops_total");
     cached_counter!(
         early_stop_missions_saved,
@@ -168,27 +167,6 @@ fn replay_early_stop(
     )
 }
 
-/// Aggregates one probe's job-ordered mission outcomes into its
-/// [`ProbeRate`], restricted to the deterministic decided prefix — how
-/// [`CampaignRunner::run_probe_rates`] reduces a journaled probe.
-fn probe_rate_from_outcomes(
-    policy: Option<EarlyStopPolicy>,
-    outcomes: &[Option<bool>],
-    planned: usize,
-) -> ProbeRate {
-    let flown = match policy {
-        Some(policy) => replay_early_stop(&policy, outcomes.iter().copied(), planned).0,
-        None => planned,
-    };
-    let prefix = &outcomes[..flown.min(outcomes.len())];
-    let successes = prefix.iter().filter(|o| **o == Some(true)).count();
-    ProbeRate {
-        success_rate: successes as f64 / flown.max(1) as f64,
-        missions_flown: flown,
-        missions_planned: planned,
-    }
-}
-
 /// Per-cell early-stop bookkeeping shared by the workers flying the cell.
 ///
 /// The decision is deliberately a pure function of the mission outcomes in
@@ -253,20 +231,6 @@ impl CellProgress {
                 .policy
                 .decide(inner.successes, inner.resolved, self.planned)
                 .map(|verdict| (inner.resolved, verdict));
-        }
-    }
-
-    /// The final (prefix length, verdict): for cells the bound never
-    /// decided early this is the full schedule with the plain threshold
-    /// comparison.
-    fn verdict(&self) -> (usize, bool) {
-        let inner = self.inner.lock().expect("cell progress poisoned");
-        match inner.decided {
-            Some(decision) => decision,
-            None => (
-                self.planned,
-                (inner.successes as f64 / self.planned.max(1) as f64) >= self.policy.threshold,
-            ),
         }
     }
 }
@@ -347,7 +311,7 @@ impl CampaignRunner {
 
     /// Attaches a pre-built journal handle — the form the falsification
     /// search uses to share one search-scoped journal across all its
-    /// member campaigns and probe batches.
+    /// member campaigns.
     #[must_use]
     pub fn with_journal_handle(mut self, handle: Arc<JournalHandle>) -> Self {
         self.journal = Some(handle);
@@ -375,21 +339,6 @@ impl CampaignRunner {
                 JournalScope::Campaign => handle.open_primary(spec).map(Some),
                 JournalScope::Search => handle.open_ambient(Some(spec)).map(Some),
             },
-        }
-    }
-
-    /// Opens this runner's journal for probe batches (`None` when no
-    /// journal is attached); probe records key by each probe spec's own
-    /// hash, so no primary-spec gate applies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::Journal`] when the journal cannot be
-    /// opened or fails integrity checks.
-    fn probe_journal(&self) -> Result<Option<Arc<Journal>>, CampaignError> {
-        match &self.journal {
-            None => Ok(None),
-            Some(handle) => handle.open_ambient(None).map(Some),
         }
     }
 
@@ -731,181 +680,6 @@ impl CampaignRunner {
         })
     }
 
-    /// Validates a batch of single-cell probe specs against a shared
-    /// scenario suite (each spec expands to exactly one cell, matches the
-    /// suite's dimensions and shares one mission schedule), returning the
-    /// common missions-per-probe count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::InvalidSpec`] describing the first
-    /// violation.
-    fn validate_probe_specs(
-        specs: &[CampaignSpec],
-        scenarios: &[Scenario],
-    ) -> Result<usize, CampaignError> {
-        let Some(first) = specs.first() else {
-            return Ok(0);
-        };
-        let missions = first.missions_per_cell();
-        for spec in specs {
-            spec.validate()?;
-            let cells = spec.cells();
-            if cells.len() != 1 || spec.families.len() != 1 {
-                return Err(CampaignError::InvalidSpec {
-                    reason: format!(
-                        "a probe spec must expand to exactly one cell, '{}' has {}",
-                        spec.name,
-                        cells.len()
-                    ),
-                });
-            }
-            if scenarios.len() != spec.maps * spec.scenarios_per_map {
-                return Err(CampaignError::InvalidSpec {
-                    reason: format!(
-                        "the probe suite has {} scenarios but spec '{}' needs {}",
-                        scenarios.len(),
-                        spec.name,
-                        spec.maps * spec.scenarios_per_map
-                    ),
-                });
-            }
-            if spec.missions_per_cell() != missions {
-                return Err(CampaignError::InvalidSpec {
-                    reason: "probe specs of one batch must share a mission schedule".to_string(),
-                });
-            }
-        }
-        Ok(missions)
-    }
-
-    /// Evaluates a set of single-cell probe specs over one shared scenario
-    /// suite as a single executor batch, returning each probe's success
-    /// rate and mission count in input order.
-    ///
-    /// This is the falsification engine's batched transport: a whole
-    /// searcher generation fans out over the executor at mission
-    /// granularity, saturating the pool even when each probe flies only a
-    /// handful of missions, while per-probe early stopping cancels
-    /// missions a probe's decided verdict no longer needs. The rates are
-    /// identical to running each spec through
-    /// [`CampaignRunner::run_with_shared_suites`] one at a time.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a spec is invalid, expands to more than one
-    /// cell, or a mission fails to assemble.
-    pub fn run_probe_rates(
-        &self,
-        specs: Vec<CampaignSpec>,
-        scenarios: Arc<Vec<Scenario>>,
-    ) -> Result<Vec<ProbeRate>, CampaignError> {
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let missions_per_probe = Self::validate_probe_specs(&specs, &scenarios)?;
-        // With a journal attached, probes a previous incarnation completed
-        // are replayed from their journaled outcome vectors (reduced by
-        // the same pure prefix aggregation the live path uses) and only
-        // the missing probes fly.
-        let journal = self.probe_journal()?;
-        let hashes = match &journal {
-            Some(_) => Some(
-                specs
-                    .iter()
-                    .map(CampaignSpec::config_hash)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            None => None,
-        };
-        let mut rates: Vec<Option<ProbeRate>> = vec![None; specs.len()];
-        let mut probes = Vec::with_capacity(specs.len());
-        let mut probe_indices = Vec::with_capacity(specs.len());
-        for (index, spec) in specs.into_iter().enumerate() {
-            if let (Some(journal), Some(hashes)) = (&journal, &hashes) {
-                if let Some(outcomes) = journal.recovered_probe(hashes[index]) {
-                    if outcomes.len() != missions_per_probe {
-                        return Err(CampaignError::Journal(format!(
-                            "journaled probe {:#018x} carries {} outcomes but spec '{}' \
-                             plans {missions_per_probe}",
-                            hashes[index],
-                            outcomes.len(),
-                            spec.name
-                        )));
-                    }
-                    rates[index] = Some(probe_rate_from_outcomes(
-                        spec.probe_early_stop,
-                        outcomes,
-                        missions_per_probe,
-                    ));
-                    if mls_obs::enabled() {
-                        instruments::journal_recovered().inc();
-                    }
-                    continue;
-                }
-            }
-            let missions = spec.missions_per_cell();
-            let progress = spec
-                .probe_early_stop
-                .map(|policy| CellProgress::new(policy, missions));
-            let cell = spec
-                .cells()
-                .into_iter()
-                .next()
-                .expect("validated single cell");
-            probes.push(ProbeJob {
-                spec,
-                cell,
-                progress,
-            });
-            probe_indices.push(index);
-        }
-        let total = probes.len() * missions_per_probe;
-        let mut probe_span = mls_obs::span("probe_batch");
-        if probe_span.is_enabled() {
-            probe_span
-                .field("probes", probes.len())
-                .field("missions_planned", total);
-            mls_obs::progress_planned(total as u64);
-        }
-        let context = Arc::new(ProbeSetContext {
-            probes,
-            scenarios,
-            missions_per_probe,
-        });
-        let job_context = context.clone();
-        let results: Vec<Result<Option<bool>, CampaignError>> =
-            self.executor.execute(total, self.threads, move |index| {
-                run_probe_mission_job(&job_context, index)
-            });
-
-        let mut outcomes = Vec::with_capacity(total);
-        for result in results {
-            outcomes.push(result?);
-        }
-        for (probe_index, probe) in context.probes.iter().enumerate() {
-            let slice =
-                &outcomes[probe_index * missions_per_probe..(probe_index + 1) * missions_per_probe];
-            // Journal the probe's full planned-length outcome vector the
-            // moment the batch lands, before its rate is consumed.
-            if let (Some(journal), Some(hashes)) = (&journal, &hashes) {
-                journal.append_probe(hashes[probe_indices[probe_index]], slice)?;
-            }
-            let rate = probe_rate(probe, slice, missions_per_probe);
-            if mls_obs::enabled() && rate.missions_flown < rate.missions_planned {
-                let saved = (rate.missions_planned - rate.missions_flown) as u64;
-                instruments::early_stops().inc();
-                instruments::early_stop_missions_saved().add(saved);
-                mls_obs::progress_early_stop(saved);
-            }
-            rates[probe_indices[probe_index]] = Some(rate);
-        }
-        Ok(rates
-            .into_iter()
-            .map(|rate| rate.expect("every probe resolved"))
-            .collect())
-    }
-
     /// Generates (or fetches from the suite cache) the benchmark scenario
     /// suite of one of the spec's families.
     ///
@@ -1122,33 +896,6 @@ impl CampaignRunner {
     }
 }
 
-/// One probe of a batched probe-set evaluation.
-struct ProbeJob {
-    spec: CampaignSpec,
-    cell: CampaignCell,
-    progress: Option<CellProgress>,
-}
-
-/// Shared context of one probe-set batch.
-struct ProbeSetContext {
-    probes: Vec<ProbeJob>,
-    scenarios: Arc<Vec<Scenario>>,
-    missions_per_probe: usize,
-}
-
-/// One probe's evaluated outcome: the success rate over the missions that
-/// actually flew.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeRate {
-    /// Success rate over the flown (decided-prefix) missions — identical
-    /// to the `success_rate` a full [`CampaignReport`] cell would record.
-    pub success_rate: f64,
-    /// Missions actually flown.
-    pub missions_flown: usize,
-    /// Missions the schedule planned.
-    pub missions_planned: usize,
-}
-
 /// Flies one mission of one campaign batch.
 fn run_mission_job(context: &MissionContext, index: usize) -> Result<MissionSlot, CampaignError> {
     let cell = &context.cells[index / context.missions_per_cell];
@@ -1211,58 +958,8 @@ fn run_mission_job(context: &MissionContext, index: usize) -> Result<MissionSlot
     Ok(slot)
 }
 
-/// Flies one mission of one probe batch, returning its success (or `None`
-/// when the probe's verdict was already decided).
-fn run_probe_mission_job(
-    context: &ProbeSetContext,
-    index: usize,
-) -> Result<Option<bool>, CampaignError> {
-    let probe = &context.probes[index / context.missions_per_probe];
-    let within = index % context.missions_per_probe;
-    let scenarios = context.scenarios.as_ref();
-    let scenario = &scenarios[within % scenarios.len()];
-    let repeat = within / scenarios.len();
-    if probe
-        .progress
-        .as_ref()
-        .is_some_and(|progress| progress.should_skip(within))
-    {
-        if mls_obs::enabled() {
-            instruments::probe_skipped().inc();
-        }
-        return Ok(None);
-    }
-    let (outcome, _) = fly_mission(&probe.spec, &probe.cell, scenario, repeat, 0, None)?;
-    let success = outcome.result == MissionResult::Success;
-    if let Some(progress) = &probe.progress {
-        progress.record(within, success);
-    }
-    if mls_obs::enabled() {
-        instruments::probe_missions().inc();
-        mls_obs::progress_mission_flown();
-    }
-    Ok(Some(success))
-}
-
-/// Aggregates one probe's mission outcomes into its rate, restricted to
-/// the deterministic decided prefix.
-fn probe_rate(probe: &ProbeJob, outcomes: &[Option<bool>], planned: usize) -> ProbeRate {
-    let flown = match &probe.progress {
-        Some(progress) => progress.verdict().0,
-        None => planned,
-    };
-    let prefix = &outcomes[..flown];
-    let successes = prefix.iter().filter(|o| **o == Some(true)).count();
-    ProbeRate {
-        success_rate: successes as f64 / flown.max(1) as f64,
-        missions_flown: flown,
-        missions_planned: planned,
-    }
-}
-
-/// Flies one mission of one cell, attaching a flight recorder when
-/// `recorder` is given. (`config_hash` is only stamped into the trace
-/// header; recorder-less callers may pass 0.)
+/// Flies one mission of one cell, attaching a flight recorder (whose trace
+/// header carries `config_hash`) when `recorder` is given.
 fn fly_mission(
     spec: &CampaignSpec,
     cell: &CampaignCell,
@@ -1441,13 +1138,8 @@ mod tests {
         assert!(CampaignRunner::new(1).run(&spec).is_err());
     }
 
-    #[test]
-    fn probe_specs_with_several_cells_are_rejected() {
-        let runner = CampaignRunner::new(1);
-        let spec = CampaignSpec::smoke(); // baseline + 3 faults → 12 cells
-        let suite = Arc::new(Vec::new());
-        let err = runner.run_probe_rates(vec![spec], suite).unwrap_err();
-        assert!(err.to_string().contains("exactly one cell"));
+    fn decided(progress: &CellProgress) -> Option<(usize, bool)> {
+        progress.inner.lock().unwrap().decided
     }
 
     #[test]
@@ -1460,21 +1152,27 @@ mod tests {
         progress.record(0, false);
         // Prefix 0..3 resolved: (0 + 5)/8 < 0.75 decides fail at 3.
         assert!(progress.should_skip(3));
-        assert_eq!(progress.verdict(), (3, false));
+        assert_eq!(decided(&progress), Some((3, false)));
         // A straggler that was already in flight does not move anything.
         progress.record(5, true);
-        assert_eq!(progress.verdict(), (3, false));
+        assert_eq!(decided(&progress), Some((3, false)));
     }
 
     #[test]
     fn cell_progress_without_a_decision_flies_everything() {
-        let progress = CellProgress::new(EarlyStopPolicy::exact(0.5), 4);
+        let policy = EarlyStopPolicy::exact(0.5);
+        let progress = CellProgress::new(policy, 4);
         for within in 0..4 {
             assert!(!progress.should_skip(within));
             progress.record(within, within % 2 == 1);
         }
-        let (flown, verdict) = progress.verdict();
-        assert_eq!(flown, 4);
-        assert!(verdict, "2/4 = 0.5 ≥ 0.5 passes");
+        // The bound only decides once the last mission lands.
+        assert_eq!(
+            decided(&progress),
+            Some((4, true)),
+            "2/4 = 0.5 ≥ 0.5 passes"
+        );
+        let outcomes = (0..4).map(|within| Some(within % 2 == 1));
+        assert_eq!(replay_early_stop(&policy, outcomes, 4), (4, true));
     }
 }

@@ -31,8 +31,9 @@
 //!
 //! Searchers do not pull probes one at a time: each emits its whole next
 //! *generation* (a full lattice sweep, a full CMA-ES population) through an
-//! ask/tell interface, the oracle fans the uncached points of the
-//! generation out over the persistent [`MissionExecutor`] concurrently
+//! ask/tell interface, the oracle flies the uncached points of the
+//! generation as one campaign with a cell per point, so their missions
+//! share the persistent [`MissionExecutor`] concurrently
 //! ([`ProbeExecution::Batched`]), and the measured success rates are told
 //! back in deterministic point order. Because every searcher decision is a
 //! pure function of the told rates, counterexamples, probe logs and
@@ -140,10 +141,11 @@ pub enum ProbeExecution {
     /// pre-batching behaviour, kept as the perf baseline and the
     /// equivalence reference.
     Sequential,
-    /// The whole generation fans out over the persistent executor at
-    /// mission granularity ([`CampaignRunner::run_probe_rates`]), so the
-    /// pool stays saturated even when each probe flies only a handful of
-    /// missions. Results are identical to [`ProbeExecution::Sequential`].
+    /// The whole generation flies as one campaign, one cell per point
+    /// ([`CampaignRunner::run_with_shared_suites`]), so the pool stays
+    /// saturated even when each probe flies only a handful of missions.
+    /// Mission seeds and early stop are per cell, so results are identical
+    /// to [`ProbeExecution::Sequential`].
     Batched,
 }
 
@@ -987,10 +989,10 @@ impl FalsificationSearch {
         self
     }
 
-    /// Attaches a write-ahead result journal at `path`: every probe
-    /// batch, baseline campaign and capture campaign the search flies is
-    /// journaled under its own spec hash, and re-running the same search
-    /// against the same journal replays completed work instead of
+    /// Attaches a write-ahead result journal at `path`: every mission of
+    /// the baseline, probe and capture campaigns the search flies is
+    /// journaled under its campaign's spec hash, and re-running the same
+    /// search against the same journal replays completed work instead of
     /// re-flying it — converging on byte-identical reports, probe logs
     /// and counterexample traces however often the search is interrupted.
     /// One journal covers one search target (a `(variant, space)` pair):
@@ -1116,7 +1118,7 @@ impl FalsificationSearch {
         })
     }
 
-    /// Builds the memoised oracle over the runner's probe batches, runs
+    /// Builds the memoised oracle over the runner's probe campaigns, runs
     /// the baseline campaign and primes the origin when it is a no-op.
     fn search_oracle<'a>(
         &'a self,
@@ -1129,31 +1131,27 @@ impl FalsificationSearch {
         let config = &self.config;
         let suite = scenarios.clone();
         let counter = missions.clone();
+        // One probe campaign over `points`: a combo cell per point, in
+        // point order. Mission seeds do not depend on the cell and early
+        // stop is decided per cell, so a point's rate does not depend on
+        // which points share its campaign.
+        let fly = move |points: &[Vec<f64>]| -> Result<Vec<f64>, CampaignError> {
+            let mut spec = probe_spec_for(config, variant, space, &[]);
+            spec.baseline = false;
+            spec.combos = points.iter().map(|point| space.plans(point)).collect();
+            let report = runner.run_with_shared_suites(&spec, std::slice::from_ref(&suite))?;
+            counter.fetch_add(report.missions, Ordering::Relaxed);
+            Ok(report.cells.iter().map(|cell| cell.success_rate).collect())
+        };
         let evaluate: BatchProbeFn<'a> = match self.execution {
             ProbeExecution::Sequential => Box::new(move |points: &[Vec<f64>]| {
-                points
-                    .iter()
-                    .map(|point| {
-                        let spec = probe_spec_for(config, variant, space, &space.plans(point));
-                        let report =
-                            runner.run_with_shared_suites(&spec, std::slice::from_ref(&suite))?;
-                        counter.fetch_add(report.cells[0].missions, Ordering::Relaxed);
-                        Ok(report.cells[0].success_rate)
-                    })
-                    .collect()
+                let mut rates = Vec::with_capacity(points.len());
+                for point in points {
+                    rates.extend(fly(std::slice::from_ref(point))?);
+                }
+                Ok(rates)
             }),
-            ProbeExecution::Batched => Box::new(move |points: &[Vec<f64>]| {
-                let specs = points
-                    .iter()
-                    .map(|point| probe_spec_for(config, variant, space, &space.plans(point)))
-                    .collect();
-                let rates = runner.run_probe_rates(specs, suite.clone())?;
-                counter.fetch_add(
-                    rates.iter().map(|rate| rate.missions_flown).sum(),
-                    Ordering::Relaxed,
-                );
-                Ok(rates.into_iter().map(|rate| rate.success_rate).collect())
-            }),
+            ProbeExecution::Batched => Box::new(fly),
         };
         let mut oracle = Oracle::new_batch(evaluate);
 

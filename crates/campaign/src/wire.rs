@@ -80,30 +80,6 @@ fn failsafe_from_code(code: u64) -> Result<FailsafeReason, CampaignError> {
     }
 }
 
-/// Encodes one probe outcome as its journal code: `0` skipped, `1`
-/// failure, `2` success.
-pub fn probe_outcome_code(outcome: Option<bool>) -> u64 {
-    match outcome {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    }
-}
-
-/// Decodes one probe outcome code (see [`probe_outcome_code`]).
-///
-/// # Errors
-///
-/// Returns [`CampaignError::Journal`] on an unknown code.
-pub fn probe_outcome_from_code(code: u64) -> Result<Option<bool>, CampaignError> {
-    match code {
-        0 => Ok(None),
-        1 => Ok(Some(false)),
-        2 => Ok(Some(true)),
-        other => Err(err(format!("unknown probe outcome code {other}"))),
-    }
-}
-
 /// Encodes one mission slot for the journal.
 ///
 /// # Errors

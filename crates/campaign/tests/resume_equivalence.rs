@@ -335,7 +335,11 @@ fn resume_rejects_a_journaled_slot_that_does_not_decode() {
 
 #[test]
 fn falsification_search_resumes_byte_identically() {
-    let config = FalsificationConfig {
+    // Seed 3 gives a clean baseline over this 1×2 suite, so the search
+    // goes on to fly a probe generation (a failing baseline would end it
+    // at the origin with nothing but baseline records journaled).
+    let mut config = FalsificationConfig {
+        seed: 3,
         maps: 1,
         scenarios_per_map: 2,
         repeats: 1,
@@ -345,6 +349,8 @@ fn falsification_search_resumes_byte_identically() {
         probe_early_stop: true,
         ..FalsificationConfig::default()
     };
+    config.landing.mission_timeout = 120.0;
+    config.executor.max_duration = 150.0;
     let space = FaultSpace::new(
         "resume-search-space",
         vec![
@@ -374,20 +380,59 @@ fn falsification_search_resumes_byte_identically() {
         journaled.baseline_success_rate
     );
 
-    // Kill the search mid-journal, then resume: same probes, same point.
+    // Kill the search at every record boundary inside its first probe
+    // generation (a torn next record included, as a real kill -9 leaves
+    // it), then resume: same probes, same point, same mission count. The
+    // baseline campaign journals first; the generation's missions are
+    // the records under the next campaign hash.
     let full = fs::read_to_string(&journal).expect("read search journal");
-    let records = full.lines().count() - 1;
-    assert!(records >= 2, "the search must journal probe batches");
-    let truncated = journal_path("resume-search-killed");
-    fs::write(&truncated, journal_prefix(&full, records / 2)).expect("kill search journal");
-    let resumed = FalsificationSearch::new(config.clone(), 2)
-        .with_journal(&truncated)
-        .search_space(SystemVariant::MlsV1, &space, &searcher)
-        .expect("resumed search");
-    assert_eq!(
-        baseline.probes, resumed.probes,
-        "resumed probe logs diverged"
+    let hashes: Vec<u64> = full
+        .lines()
+        .skip(1)
+        .map(|line| {
+            serde_json::parse(line)
+                .expect("parse search journal record")
+                .get("hash")
+                .and_then(|hash| hash.as_u64())
+                .expect("records carry a campaign hash")
+        })
+        .collect();
+    let records = hashes.len();
+    let generation_start = hashes
+        .iter()
+        .position(|hash| *hash != hashes[0])
+        .expect("the search must journal its baseline and probe missions");
+    let generation_end = hashes[generation_start..]
+        .iter()
+        .position(|hash| *hash != hashes[generation_start])
+        .map_or(records, |offset| generation_start + offset);
+    assert!(
+        generation_end - generation_start >= 2,
+        "the first probe generation must journal several missions"
     );
-    assert_eq!(baseline.failing_point, resumed.failing_point);
-    assert_eq!(baseline.missions_flown, resumed.missions_flown);
+    for kill_at in generation_start..=generation_end {
+        let truncated = journal_path(&format!("resume-search-killed-{kill_at}"));
+        let mut prefix = journal_prefix(&full, kill_at);
+        if kill_at < records {
+            let next = full.lines().nth(1 + kill_at).expect("next record");
+            prefix.push_str(&next[..next.len() / 2]);
+        }
+        fs::write(&truncated, prefix).expect("kill search journal");
+        let resumed = FalsificationSearch::new(config.clone(), 2)
+            .with_journal(&truncated)
+            .search_space(SystemVariant::MlsV1, &space, &searcher)
+            .unwrap_or_else(|err| panic!("resume after {kill_at} records failed: {err}"));
+        assert_eq!(
+            baseline.probes, resumed.probes,
+            "resumed probe logs diverged when killed after {kill_at} records"
+        );
+        assert_eq!(
+            baseline.failing_point, resumed.failing_point,
+            "failing point diverged when killed after {kill_at} records"
+        );
+        assert_eq!(
+            baseline.missions_flown, resumed.missions_flown,
+            "mission accounting diverged when killed after {kill_at} records"
+        );
+    }
 }

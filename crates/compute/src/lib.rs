@@ -366,9 +366,10 @@ impl ComputeModel {
 }
 
 /// Reference CPU costs (seconds on the SIL desktop) of one invocation of each
-/// module, parameterised by its workload. These constants were measured from
-/// the Criterion micro-benchmarks of the corresponding crates and define the
-/// exchange rate between "work done" and "platform time".
+/// module, parameterised by its workload. These constants are fixed reference
+/// costs of the corresponding crates' kernels and define the exchange rate
+/// between "work done" and "platform time" (repobench's per-layer metrics
+/// time the same kernels on the current host).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadModel {
     /// Cost of one classical-detector inference on a 160x120 frame.
