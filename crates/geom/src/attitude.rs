@@ -82,12 +82,7 @@ impl Attitude {
 
     /// Rotates a vector from the body frame into the world frame.
     pub fn body_to_world(self, v: Vec3) -> Vec3 {
-        let m = self.rotation_matrix();
-        Vec3::new(
-            m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
-            m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
-            m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z,
-        )
+        apply_rotation(&self.rotation_matrix(), v)
     }
 
     /// Rotates a vector from the world frame into the body frame.
@@ -129,6 +124,21 @@ impl Attitude {
     pub fn is_finite(self) -> bool {
         self.roll.is_finite() && self.pitch.is_finite() && self.yaw.is_finite()
     }
+}
+
+/// Multiplies a row-major rotation matrix, as returned by
+/// [`Attitude::rotation_matrix`], with a vector.
+///
+/// [`Attitude::body_to_world`] is this applied to its own matrix, so a caller
+/// that rotates many vectors by one attitude can build the matrix once and
+/// get bit-identical results.
+#[inline]
+pub fn apply_rotation(m: &[[f64; 3]; 3], v: Vec3) -> Vec3 {
+    Vec3::new(
+        m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
+        m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
+        m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z,
+    )
 }
 
 impl fmt::Display for Attitude {
@@ -199,6 +209,31 @@ mod tests {
         let att = Attitude::new(0.3, -0.7, 1.9);
         let v = Vec3::new(2.0, -1.0, 4.0);
         assert!((att.body_to_world(v).norm() - v.norm()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hoisted_matrix_rotates_bit_for_bit() {
+        let vectors = [
+            Vec3::new(0.31, -0.12, -0.94),
+            Vec3::new(-2.0, 7.5, 0.25),
+            Vec3::UNIT_Z,
+        ];
+        for r in -6..=6 {
+            for p in -6..=6 {
+                for y in -8..=8 {
+                    let att = Attitude::new(r as f64 * 0.27, p as f64 * 0.23, y as f64 * 0.41);
+                    let m = att.rotation_matrix();
+                    for v in vectors {
+                        let (a, b) = (apply_rotation(&m, v), att.body_to_world(v));
+                        assert_eq!(
+                            [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
+                            [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()],
+                            "{att} {v}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod voxel;
 
 pub use aabb::Aabb;
 pub use angle::{clamp, deg_to_rad, rad_to_deg, wrap_angle};
-pub use attitude::Attitude;
+pub use attitude::{apply_rotation, Attitude};
 pub use pose::Pose;
 pub use ray::{segment_point_distance, Ray};
 pub use vec2::Vec2;

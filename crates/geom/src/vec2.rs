@@ -88,7 +88,15 @@ impl Vec2 {
     #[inline]
     pub fn rotated(self, angle: f64) -> Vec2 {
         let (s, c) = angle.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
+        self.rotated_sin_cos(s, c)
+    }
+
+    /// Rotates the vector counter-clockwise by the angle whose sine and
+    /// cosine are given: [`Vec2::rotated`] with the trig computed by the
+    /// caller, so many vectors can share one `sin_cos`.
+    #[inline]
+    pub fn rotated_sin_cos(self, sin: f64, cos: f64) -> Vec2 {
+        Vec2::new(self.x * cos - self.y * sin, self.x * sin + self.y * cos)
     }
 
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.

@@ -153,7 +153,7 @@ impl Camera {
     }
 
     /// Converts a camera-frame vector to a body-frame vector.
-    fn camera_to_body(&self, v: Vec3) -> Vec3 {
+    pub(crate) fn camera_to_body(&self, v: Vec3) -> Vec3 {
         match self.mount {
             // Camera +x -> body +y (right), camera +y -> body -x? We define:
             // camera x (image right) -> body +y, camera y (image down) -> body +x,

@@ -303,6 +303,12 @@ impl ImageDegrader {
         let w = out.width();
         let h = out.height();
         let diag = ((w * w + h * h) as f64).sqrt();
+        // Glare centre and radius in pixels.
+        let glare = cfg.glare.map(|glare| {
+            let gx = glare.center.x * w as f64;
+            let gy = glare.center.y * h as f64;
+            (glare.intensity, gx, gy, glare.radius * diag)
+        });
         for y in 0..h {
             for x in 0..w {
                 let mut v = out.get(x, y);
@@ -316,14 +322,11 @@ impl ImageDegrader {
                 }
 
                 // Glare: additive radial falloff.
-                if let Some(glare) = cfg.glare {
-                    let gx = glare.center.x * w as f64;
-                    let gy = glare.center.y * h as f64;
-                    let r = glare.radius * diag;
+                if let Some((intensity, gx, gy, r)) = glare {
                     let d = ((x as f64 - gx).powi(2) + (y as f64 - gy).powi(2)).sqrt();
                     if d < r {
                         let falloff = (1.0 - d / r) as f32;
-                        v += glare.intensity * falloff * falloff;
+                        v += intensity * falloff * falloff;
                     }
                 }
 

@@ -6,11 +6,26 @@
 //! pinhole camera mounted on the vehicle. The rendered [`GrayImage`] then
 //! flows through the degradation model and the detectors exactly as a real
 //! camera frame would.
+//!
+//! # Bit-exactness
+//!
+//! [`MarkerRenderer::render`] builds every per-frame constant once: the
+//! body-to-world rotation matrix, the camera-frame coordinate of each
+//! (sub)pixel column and row, and each marker's yaw trig, extents and cell
+//! luminances. It also remembers the texture noise of the last ground cell
+//! it shaded. Each hoisted value is computed with the expression and op
+//! order the per-ray path used: [`Camera::pixel_ray`] through
+//! `CameraIntrinsics::unproject`, [`mls_geom::apply_rotation`] (which
+//! [`mls_geom::Attitude::body_to_world`] also calls) and
+//! [`mls_geom::Vec2::rotated`]. Both normalisations stay per ray, as do every
+//! division and `floor`. A frame is therefore the same bit for bit as one
+//! shaded ray by ray; `tests/render_golden.rs` pins that on the mission
+//! camera path, and any change that moves a pixel must re-bless it.
 
-use mls_geom::{Pose, Vec2};
+use mls_geom::{apply_rotation, Pose, Ray, Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
-use crate::{Camera, GrayImage, MarkerDictionary, VisionError, MARKER_CELLS};
+use crate::{Camera, GrayImage, MarkerDictionary, MARKER_CELLS};
 
 /// A fiducial marker placed flat on the ground plane.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -186,17 +201,20 @@ impl MarkerRenderer {
         let h = camera.intrinsics.height;
         let mut image = GrayImage::new(w, h);
         let ss = self.config.supersampling.max(1) as usize;
-        let inv_ss = 1.0 / ss as f64;
+        let rays = FrameRays::new(camera, vehicle_pose, ss);
+        let markers: Vec<PlacedMarker> = scene
+            .markers
+            .iter()
+            .map(|marker| self.place(marker))
+            .collect();
+        let mut texture = GroundTexture::new(&scene.ground);
         for y in 0..h {
             for x in 0..w {
                 let mut sum = 0.0f32;
                 for sy in 0..ss {
                     for sx in 0..ss {
-                        let px = Vec2::new(
-                            x as f64 + (sx as f64 + 0.5) * inv_ss,
-                            y as f64 + (sy as f64 + 0.5) * inv_ss,
-                        );
-                        sum += self.shade_pixel(camera, vehicle_pose, scene, px);
+                        let ray = rays.ray(x * ss + sx, y * ss + sy);
+                        sum += self.shade_ray(&ray, scene, &markers, &mut texture);
                     }
                 }
                 image.set(x, y, sum / (ss * ss) as f32);
@@ -206,24 +224,23 @@ impl MarkerRenderer {
     }
 
     /// Luminance seen along the ray through a single (sub)pixel.
-    fn shade_pixel(
+    fn shade_ray(
         &self,
-        camera: &Camera,
-        vehicle_pose: &Pose,
+        ray: &Ray,
         scene: &GroundScene,
-        pixel: Vec2,
+        markers: &[PlacedMarker],
+        texture: &mut GroundTexture,
     ) -> f32 {
-        let ray = camera.pixel_ray(vehicle_pose, pixel);
         let Some(t) = ray.intersect_horizontal_plane(scene.ground.ground_z) else {
             return self.config.sky_luminance;
         };
         let hit = ray.point_at(t);
         let ground_point = Vec2::new(hit.x, hit.y);
-        let mut lum = self.ground_luminance(&scene.ground, ground_point);
+        let mut lum = texture.luminance(ground_point);
         // Markers are painted on top of the terrain (last marker wins if they
         // overlap, which scenario generation avoids).
-        for marker in &scene.markers {
-            if let Some(marker_lum) = self.marker_luminance(marker, ground_point) {
+        for marker in markers {
+            if let Some(marker_lum) = marker.luminance(ground_point) {
                 lum = marker_lum;
             }
         }
@@ -244,57 +261,164 @@ impl MarkerRenderer {
         lum.clamp(0.0, 1.0)
     }
 
-    /// Procedural terrain luminance at a ground point (deterministic).
-    fn ground_luminance(&self, ground: &GroundAppearance, p: Vec2) -> f32 {
-        let scale = ground.texture_scale.max(1e-3);
-        let gx = p.x / scale;
-        let gy = p.y / scale;
-        let x0 = gx.floor();
-        let y0 = gy.floor();
-        let fx = (gx - x0) as f32;
-        let fy = (gy - y0) as f32;
-        let n00 = hash_noise(x0 as i64, y0 as i64);
-        let n10 = hash_noise(x0 as i64 + 1, y0 as i64);
-        let n01 = hash_noise(x0 as i64, y0 as i64 + 1);
-        let n11 = hash_noise(x0 as i64 + 1, y0 as i64 + 1);
-        let top = n00 * (1.0 - fx) + n10 * fx;
-        let bottom = n01 * (1.0 - fx) + n11 * fx;
-        let noise = top * (1.0 - fy) + bottom * fy;
-        ground.base_luminance + ground.texture_amplitude * (noise - 0.5) * 2.0
-    }
-
-    /// Luminance contributed by a marker at a ground point, or `None` when
-    /// the point is outside the marker (and its quiet zone).
-    fn marker_luminance(&self, marker: &MarkerPlacement, p: Vec2) -> Option<f32> {
-        // Transform into the marker's local frame.
-        let local = (p - marker.center).rotated(-marker.yaw);
+    /// A marker's per-frame constants.
+    fn place(&self, marker: &MarkerPlacement) -> PlacedMarker {
+        let (sin, cos) = (-marker.yaw).sin_cos();
         let half = marker.size / 2.0;
         let quiet = marker.size * self.config.quiet_zone_fraction;
-        let outer = half + quiet;
+        // Unknown ids render as a blank white square (decoy marker).
+        let cells = self
+            .dictionary
+            .cells(marker.id)
+            .unwrap_or([[1.0; MARKER_CELLS]; MARKER_CELLS])
+            .map(|row| {
+                row.map(|value| {
+                    if value > 0.5 {
+                        self.config.marker_white
+                    } else {
+                        self.config.marker_black
+                    }
+                })
+            });
+        PlacedMarker {
+            center: marker.center,
+            sin,
+            cos,
+            half,
+            outer: half + quiet,
+            cell_size: marker.size / MARKER_CELLS as f64,
+            white: self.config.marker_white,
+            cells,
+        }
+    }
+}
+
+/// The world ray through every (sub)pixel of one frame, from constants
+/// built once per frame: the camera-frame x of every column and sub-column,
+/// the camera-frame y of every row and sub-row, and the body-to-world
+/// rotation. [`FrameRays::ray`] is [`Camera::pixel_ray`] with those parts
+/// hoisted, bit for bit.
+struct FrameRays<'a> {
+    camera: &'a Camera,
+    origin: Vec3,
+    rotation: [[f64; 3]; 3],
+    /// Camera-frame x of sub-column `x * ss + sx`.
+    cols: Vec<f64>,
+    /// Camera-frame y of sub-row `y * ss + sy`.
+    rows: Vec<f64>,
+}
+
+impl<'a> FrameRays<'a> {
+    fn new(camera: &'a Camera, vehicle_pose: &Pose, ss: usize) -> Self {
+        let inv_ss = 1.0 / ss as f64;
+        // The sub-pixel centre, then `CameraIntrinsics::unproject`'s offset
+        // and division, in their op order.
+        let axis = |len: usize, c: f64, f: f64| -> Vec<f64> {
+            (0..len * ss)
+                .map(|i| ((i / ss) as f64 + ((i % ss) as f64 + 0.5) * inv_ss - c) / f)
+                .collect()
+        };
+        let k = &camera.intrinsics;
+        Self {
+            camera,
+            origin: vehicle_pose.position,
+            rotation: vehicle_pose.attitude.rotation_matrix(),
+            cols: axis(k.width, k.cx, k.fx),
+            rows: axis(k.height, k.cy, k.fy),
+        }
+    }
+
+    /// The world ray through sub-column `col` and sub-row `row`.
+    fn ray(&self, col: usize, row: usize) -> Ray {
+        let dir_cam = Vec3::new(self.cols[col], self.rows[row], 1.0).normalized_or_x();
+        let dir_world = apply_rotation(&self.rotation, self.camera.camera_to_body(dir_cam));
+        Ray::new(self.origin, dir_world)
+    }
+}
+
+/// A marker's per-frame constants: the trig of its yaw, its extents and the
+/// luminance of each of its cells.
+struct PlacedMarker {
+    center: Vec2,
+    /// Sine and cosine of `-yaw`, which maps the ground into the marker
+    /// frame.
+    sin: f64,
+    cos: f64,
+    half: f64,
+    /// Half-size plus the quiet zone.
+    outer: f64,
+    cell_size: f64,
+    white: f32,
+    cells: [[f32; MARKER_CELLS]; MARKER_CELLS],
+}
+
+impl PlacedMarker {
+    /// Luminance contributed by the marker at a ground point, or `None` when
+    /// the point is outside the marker (and its quiet zone).
+    fn luminance(&self, p: Vec2) -> Option<f32> {
+        // Transform into the marker's local frame.
+        let local = (p - self.center).rotated_sin_cos(self.sin, self.cos);
+        let (half, outer) = (self.half, self.outer);
         if local.x.abs() > outer || local.y.abs() > outer {
             return None;
         }
         if local.x.abs() > half || local.y.abs() > half {
             // Quiet zone: white paper around the printed pattern.
-            return Some(self.config.marker_white);
+            return Some(self.white);
         }
         // Inside the printed pattern: which cell?
-        let cell_size = marker.size / MARKER_CELLS as f64;
-        let col = (((local.x + half) / cell_size).floor() as i64).clamp(0, MARKER_CELLS as i64 - 1)
-            as usize;
-        let row = (((half - local.y) / cell_size).floor() as i64).clamp(0, MARKER_CELLS as i64 - 1)
-            as usize;
-        let value = match self.dictionary.cells(marker.id) {
-            Ok(cells) => cells[row][col],
-            // Unknown ids render as a blank white square (decoy marker).
-            Err(VisionError::UnknownMarkerId { .. }) => 1.0,
-            Err(_) => 1.0,
+        let col = (((local.x + half) / self.cell_size).floor() as i64)
+            .clamp(0, MARKER_CELLS as i64 - 1) as usize;
+        let row = (((half - local.y) / self.cell_size).floor() as i64)
+            .clamp(0, MARKER_CELLS as i64 - 1) as usize;
+        Some(self.cells[row][col])
+    }
+}
+
+/// Procedural terrain luminance (deterministic), remembering the noise at
+/// the four corners of the last texture cell it shaded: neighbouring rays
+/// mostly land in the same cell.
+struct GroundTexture {
+    ground: GroundAppearance,
+    scale: f64,
+    /// Lattice corner `(x0, y0)` and its noise `[n00, n10, n01, n11]`.
+    cell: Option<(i64, i64, [f32; 4])>,
+}
+
+impl GroundTexture {
+    fn new(ground: &GroundAppearance) -> Self {
+        Self {
+            ground: *ground,
+            scale: ground.texture_scale.max(1e-3),
+            cell: None,
+        }
+    }
+
+    fn luminance(&mut self, p: Vec2) -> f32 {
+        let gx = p.x / self.scale;
+        let gy = p.y / self.scale;
+        let x0 = gx.floor();
+        let y0 = gy.floor();
+        let fx = (gx - x0) as f32;
+        let fy = (gy - y0) as f32;
+        let (ix, iy) = (x0 as i64, y0 as i64);
+        let [n00, n10, n01, n11] = match self.cell {
+            Some((cx, cy, noise)) if (cx, cy) == (ix, iy) => noise,
+            _ => {
+                let noise = [
+                    hash_noise(ix, iy),
+                    hash_noise(ix + 1, iy),
+                    hash_noise(ix, iy + 1),
+                    hash_noise(ix + 1, iy + 1),
+                ];
+                self.cell = Some((ix, iy, noise));
+                noise
+            }
         };
-        Some(if value > 0.5 {
-            self.config.marker_white
-        } else {
-            self.config.marker_black
-        })
+        let top = n00 * (1.0 - fx) + n10 * fx;
+        let bottom = n01 * (1.0 - fx) + n11 * fx;
+        let noise = top * (1.0 - fy) + bottom * fy;
+        self.ground.base_luminance + self.ground.texture_amplitude * (noise - 0.5) * 2.0
     }
 }
 
@@ -432,6 +556,42 @@ mod tests {
             low > high * 4,
             "marker should cover many more pixels at low altitude ({low} vs {high})"
         );
+    }
+
+    #[test]
+    fn hoisted_rays_match_pixel_ray_bit_for_bit() {
+        let camera = Camera::downward();
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        for (i, attitude) in [
+            mls_geom::Attitude::new(0.0, 0.0, 0.15),
+            mls_geom::Attitude::new(0.12, -0.09, 0.7),
+            mls_geom::Attitude::new(-0.35, 0.28, -2.1),
+            mls_geom::Attitude::new(std::f64::consts::PI, 0.0, 1.0),
+            mls_geom::Attitude::new(0.05, 1.35, 0.4),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let pose = Pose::new(Vec3::new(0.3 * i as f64, -0.7, 4.0 + i as f64), attitude);
+            for ss in [1, 2, 3] {
+                let rays = FrameRays::new(&camera, &pose, ss);
+                let inv_ss = 1.0 / ss as f64;
+                for y in (0..camera.intrinsics.height).step_by(7) {
+                    for x in (0..camera.intrinsics.width).step_by(5) {
+                        for (sx, sy) in [(0, 0), (ss - 1, 0), (0, ss - 1)] {
+                            let pixel = Vec2::new(
+                                x as f64 + (sx as f64 + 0.5) * inv_ss,
+                                y as f64 + (sy as f64 + 0.5) * inv_ss,
+                            );
+                            let want = camera.pixel_ray(&pose, pixel);
+                            let got = rays.ray(x * ss + sx, y * ss + sy);
+                            assert_eq!(bits(got.origin), bits(want.origin));
+                            assert_eq!(bits(got.direction), bits(want.direction), "{pose:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
