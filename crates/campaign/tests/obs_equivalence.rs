@@ -168,6 +168,7 @@ fn reports_and_traces_are_byte_identical_with_obs_on_and_off() {
         "\"event\":\"span\",\"name\":\"campaign\"",
         "\"event\":\"span\",\"name\":\"executor_batch\"",
         "\"event\":\"mission_phases\"",
+        "\"sensors_s\"",
         "\"event\":\"cell_outcomes\"",
     ] {
         assert!(

@@ -40,6 +40,7 @@ mod instruments {
     cached_seconds_histogram!(control_seconds, "mls_phase_control_seconds");
     cached_seconds_histogram!(mapping_seconds, "mls_phase_mapping_seconds");
     cached_seconds_histogram!(perception_seconds, "mls_phase_perception_seconds");
+    cached_seconds_histogram!(sensors_seconds, "mls_phase_sensors_seconds");
     cached_seconds_histogram!(planning_seconds, "mls_phase_planning_seconds");
     cached_seconds_histogram!(decision_seconds, "mls_phase_decision_seconds");
     cached_seconds_histogram!(mission_wall_seconds, "mls_mission_wall_seconds");
@@ -56,6 +57,10 @@ struct PhaseBudget {
     control: f64,
     mapping: f64,
     perception: f64,
+    /// Simulated sensor capture (render, degrade, depth raycast): the
+    /// simulator's share, kept out of `mapping` and `perception` so those
+    /// hold only the system under test's time.
+    sensors: f64,
     planning: f64,
     decision: f64,
     ticks: u64,
@@ -402,9 +407,11 @@ impl MissionExecutor {
 
             // Mapping module.
             if self.system.mapping.is_enabled() && time >= next_mapping {
-                let mapping_started = observing.then(Instant::now);
                 next_mapping = time + 1.0 / self.system.config.mapping_rate_hz;
+                let sensors_started = observing.then(Instant::now);
                 let mut cloud = self.uav.capture_depth(&world);
+                PhaseBudget::charge(&mut budget.sensors, sensors_started);
+                let mapping_started = observing.then(Instant::now);
                 // The pristine cloud is snapshotted for trace
                 // tamper-accounting only when a recorder is attached AND the
                 // hook can actually corrupt clouds — every other fault kind
@@ -441,9 +448,11 @@ impl MissionExecutor {
 
             // Detection module.
             if time >= next_detection {
-                let perception_started = observing.then(Instant::now);
                 next_detection = time + 1.0 / self.system.config.detection_rate_hz;
+                let sensors_started = observing.then(Instant::now);
                 let mut image = self.uav.capture_image(&world);
+                PhaseBudget::charge(&mut budget.sensors, sensors_started);
+                let perception_started = observing.then(Instant::now);
                 if let Some(hook) = self.fault_hook.as_mut() {
                     hook.pre_detection(time, &mut image);
                 }
@@ -702,6 +711,7 @@ impl MissionExecutor {
             instruments::control_seconds().observe(budget.control);
             instruments::mapping_seconds().observe(budget.mapping);
             instruments::perception_seconds().observe(budget.perception);
+            instruments::sensors_seconds().observe(budget.sensors);
             instruments::planning_seconds().observe(budget.planning);
             instruments::decision_seconds().observe(budget.decision);
             mls_obs::event(
@@ -718,6 +728,7 @@ impl MissionExecutor {
                     ("control_s", budget.control.into()),
                     ("mapping_s", budget.mapping.into()),
                     ("perception_s", budget.perception.into()),
+                    ("sensors_s", budget.sensors.into()),
                     ("planning_s", budget.planning.into()),
                     ("decision_s", budget.decision.into()),
                     ("sim_mean_cpu", outcome.mean_cpu.into()),
