@@ -9,6 +9,15 @@
 //! a single output bit fails here, which is what lets the hot paths be
 //! rewritten for speed without changing a mission.
 //!
+//! The sweep has two parts:
+//!
+//! - `MarkerRenderer::render` frames of level poses (supersampling 2) under
+//!   every weather and lighting preset of `ImageDegrader`;
+//! - `RgbCamera::capture` frames, the ones missions detect on
+//!   (supersampling 1, degraded with motion blur): a tilted pose, the 14 m
+//!   cruise-height view where the learned detector proposes the most, and a
+//!   target cut by the frame edge, whose refinement samples off the image.
+//!
 //! If the detectors *deliberately* change, regenerate the fixture with:
 //!
 //! ```sh
@@ -21,11 +30,13 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use mls_landing::geom::{Pose, Vec2, Vec3};
+use mls_landing::geom::{Attitude, Pose, Vec2, Vec3};
+use mls_landing::sim_uav::{RgbCamera, RgbCameraConfig};
+use mls_landing::sim_world::{MapStyle, MarkerSite, Weather, WorldMap};
 use mls_landing::vision::{
-    Camera, ClassicalDetector, DegradationConfig, GroundScene, ImageDegrader, LearnedDetector,
-    LightingCondition, MarkerDetector, MarkerDictionary, MarkerPlacement, MarkerRenderer,
-    ShadowDisc, WeatherKind,
+    Camera, ClassicalDetector, DegradationConfig, GrayImage, GroundScene, ImageDegrader,
+    LearnedDetector, LightingCondition, MarkerDetector, MarkerDictionary, MarkerPlacement,
+    MarkerRenderer, ShadowDisc, WeatherKind,
 };
 
 /// Altitudes (metres) of the sweep: the target spans many pixels at 8 m and
@@ -46,9 +57,82 @@ fn scene() -> GroundScene {
         })
 }
 
+/// The mission camera's world: the markers of [`scene`], as sites.
+fn world() -> WorldMap {
+    WorldMap::empty("golden", MapStyle::Rural, 60.0)
+        .with_marker(MarkerSite::target(7, Vec3::new(0.4, -0.3, 0.0), 1.5, 0.35))
+        .with_marker(MarkerSite::decoy(23, Vec3::new(-2.4, 1.8, 0.0), 1.0, -0.6))
+}
+
+/// `(label, pose, ground speed in m/s)` of every mission-camera frame.
+fn capture_poses() -> [(&'static str, Pose, f64); 4] {
+    [
+        (
+            "tilted",
+            Pose::new(Vec3::new(-0.3, 0.4, 9.0), Attitude::new(0.12, -0.09, 0.7)),
+            1.5,
+        ),
+        (
+            "cruise-14m",
+            Pose::new(Vec3::new(0.6, -0.2, 14.0), Attitude::new(0.03, -0.05, 0.2)),
+            3.4,
+        ),
+        (
+            "edge",
+            Pose::from_position_yaw(Vec3::new(EDGE_OFFSET, -0.3, 10.0), 0.0),
+            0.0,
+        ),
+        (
+            "edge-tilted",
+            Pose::new(
+                Vec3::new(-0.3, EDGE_OFFSET + 1.5, 11.0),
+                Attitude::new(-0.06, 0.04, -0.3),
+            ),
+            1.0,
+        ),
+    ]
+}
+
+/// Offset (metres) that puts the target across the edge of a 10 m frame.
+const EDGE_OFFSET: f64 = 5.0;
+
 fn corners_bits(out: &mut String, corners: &[Vec2; 4]) {
     for c in corners {
         write!(out, " {:016x},{:016x}", c.x.to_bits(), c.y.to_bits()).unwrap();
+    }
+}
+
+/// Writes every learned hypothesis and classical detection on `frame`.
+fn record(
+    out: &mut String,
+    learned: &LearnedDetector,
+    classical: &ClassicalDetector,
+    frame: &GrayImage,
+) {
+    for c in learned.score_candidates(frame) {
+        write!(
+            out,
+            "  learned {} {:016x} {:016x}",
+            c.id,
+            c.score.to_bits(),
+            c.margin.to_bits()
+        )
+        .unwrap();
+        corners_bits(out, &c.corners);
+        out.push('\n');
+    }
+    for d in classical.detect(frame) {
+        let orientation = d.orientation.map_or(0, f64::to_bits);
+        write!(
+            out,
+            "  classical {} {:016x} {:016x}",
+            d.id,
+            d.confidence.to_bits(),
+            orientation
+        )
+        .unwrap();
+        corners_bits(out, &d.corners);
+        out.push('\n');
     }
 }
 
@@ -57,7 +141,7 @@ fn golden_text() -> String {
     let dict = MarkerDictionary::standard();
     let renderer = MarkerRenderer::new(dict.clone());
     let learned = LearnedDetector::new(dict.clone());
-    let classical = ClassicalDetector::new(dict);
+    let classical = ClassicalDetector::new(dict.clone());
     let scene = scene();
     let camera = Camera::downward();
 
@@ -71,35 +155,43 @@ fn golden_text() -> String {
                 let config = DegradationConfig::for_conditions(*weather, *lighting);
                 let degraded = ImageDegrader::new(config, seed).apply(&frame);
                 writeln!(out, "frame {altitude} m {weather:?} {lighting:?}").unwrap();
-                for c in learned.score_candidates(&degraded) {
-                    write!(
-                        out,
-                        "  learned {} {:016x} {:016x}",
-                        c.id,
-                        c.score.to_bits(),
-                        c.margin.to_bits()
-                    )
-                    .unwrap();
-                    corners_bits(&mut out, &c.corners);
-                    out.push('\n');
-                }
-                for d in classical.detect(&degraded) {
-                    let orientation = d.orientation.map_or(0, f64::to_bits);
-                    write!(
-                        out,
-                        "  classical {} {:016x} {:016x}",
-                        d.id,
-                        d.confidence.to_bits(),
-                        orientation
-                    )
-                    .unwrap();
-                    corners_bits(&mut out, &d.corners);
-                    out.push('\n');
-                }
+                record(&mut out, &learned, &classical, &degraded);
             }
         }
     }
+
+    // One mission camera across the capture sweep: its frame counter seeds
+    // the degrader, so the noise differs frame to frame as in a mission.
+    let mut rgb = RgbCamera::new(dict, RgbCameraConfig::default(), 17);
+    let world = world();
+    let mut edge_hypotheses = 0;
+    for weather in [Weather::clear(), Weather::fog(), Weather::dusk()] {
+        for (label, pose, speed) in capture_poses() {
+            let frame = rgb.capture(&world, &weather, &pose, speed);
+            writeln!(out, "capture {label} {} {speed} m/s", weather.label).unwrap();
+            record(&mut out, &learned, &classical, &frame);
+            if label.starts_with("edge") {
+                edge_hypotheses += learned
+                    .score_candidates(&frame)
+                    .iter()
+                    .filter(|c| c.corners.iter().any(|p| !inside_interior(&frame, *p)))
+                    .count();
+            }
+        }
+    }
+    // The edge frames pin the sampler's border path only if some refined
+    // quad actually reaches the last row or column of the frame.
+    assert!(edge_hypotheses > 0, "no hypothesis reaches the frame edge");
     out
+}
+
+/// True when `p` lies strictly inside the frame's bilinear interior, away
+/// from the last row and column.
+fn inside_interior(frame: &GrayImage, p: Vec2) -> bool {
+    p.x >= 0.0
+        && p.y >= 0.0
+        && p.x < (frame.width() - 1) as f64
+        && p.y < (frame.height() - 1) as f64
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!   crosses the target, an inverted pose (all sky), a grazing pose (sky and
 //!   far ground in one frame) and a raised ground plane.
 //!
-//! The detector golden renders only level poses at supersampling 2, so this
-//! fixture is what pins the renderer and degrader on the path missions fly.
+//! The detector golden scores only a dozen capture frames, so this fixture is
+//! what pins the renderer and degrader on the path missions fly.
 //!
 //! If the camera model *deliberately* changes, regenerate the fixture with:
 //!
