@@ -386,16 +386,21 @@ pub(crate) fn sample_cells(
     ];
     let homography = Homography::from_correspondences(&canonical, corners).ok()?;
     let ss = subsamples.max(1);
-    // Sub-sample offsets within a cell. The detector golden fixture pins
-    // the bits this exact expression produces.
-    let offsets: Vec<f64> = (0..ss).map(|s| (s as f64 + 0.5) / ss as f64).collect();
+    // Sub-sample coordinates along either axis: cell `c`'s `s`-th sample
+    // sits at `c + (s + 0.5) / ss`. The detector golden fixture pins the
+    // bits this exact expression produces.
+    let coords: Vec<f64> = (0..MARKER_CELLS)
+        .flat_map(|c| (0..ss).map(move |s| c as f64 + (s as f64 + 0.5) / ss as f64))
+        .collect();
+    let points = homography.apply_grid(&coords, &coords);
+    let stride = coords.len();
     let mut cells = [[0.0f32; MARKER_CELLS]; MARKER_CELLS];
     for row in 0..MARKER_CELLS {
         for col in 0..MARKER_CELLS {
             let mut sum = 0.0f32;
-            for dv in &offsets {
-                for du in &offsets {
-                    let p = homography.apply(Vec2::new(col as f64 + du, row as f64 + dv));
+            for sy in 0..ss {
+                let first = (row * ss + sy) * stride + col * ss;
+                for p in &points[first..first + ss] {
                     sum += image.sample_bilinear(p.x, p.y);
                 }
             }

@@ -66,15 +66,52 @@ impl Homography {
     }
 
     /// Applies the homography to a point.
+    #[inline]
     pub fn apply(&self, p: Vec2) -> Vec2 {
-        let w = self.m[2][0] * p.x + self.m[2][1] * p.y + self.m[2][2];
-        let x = self.m[0][0] * p.x + self.m[0][1] * p.y + self.m[0][2];
-        let y = self.m[1][0] * p.x + self.m[1][1] * p.y + self.m[1][2];
-        if w.abs() < 1e-15 {
-            Vec2::new(f64::INFINITY, f64::INFINITY)
-        } else {
-            Vec2::new(x / w, y / w)
+        self.project(self.column_terms(p.x), self.row_terms(p.y))
+    }
+
+    /// Maps every point of the grid `us × vs`, row by row: point
+    /// `(us[i], vs[j])` lands at index `j * us.len() + i`, bit for bit equal
+    /// to [`Homography::apply`] on it.
+    ///
+    /// The grid is separable, so each column term is computed once per `u`
+    /// and each row term once per `v`; only the sums and the divisions are
+    /// per point.
+    pub(crate) fn apply_grid(&self, us: &[f64], vs: &[f64]) -> Vec<Vec2> {
+        let columns: Vec<[f64; 3]> = us.iter().map(|&u| self.column_terms(u)).collect();
+        let mut points = Vec::with_capacity(us.len() * vs.len());
+        for &v in vs {
+            let row = self.row_terms(v);
+            points.extend(columns.iter().map(|&column| self.project(column, row)));
         }
+        points
+    }
+
+    /// The `u` part `m[r][0] * u` of each homogeneous coordinate `r`.
+    #[inline]
+    fn column_terms(&self, u: f64) -> [f64; 3] {
+        [self.m[0][0] * u, self.m[1][0] * u, self.m[2][0] * u]
+    }
+
+    /// The `v` part `m[r][1] * v` of each homogeneous coordinate `r`.
+    #[inline]
+    fn row_terms(&self, v: f64) -> [f64; 3] {
+        [self.m[0][1] * v, self.m[1][1] * v, self.m[2][1] * v]
+    }
+
+    /// The image of a point from its column and row terms: each homogeneous
+    /// coordinate is `(m[r][0] * u + m[r][1] * v) + m[r][2]`, added left to
+    /// right, then divided by `w`; infinite where `|w| < 1e-15`.
+    #[inline]
+    fn project(&self, column: [f64; 3], row: [f64; 3]) -> Vec2 {
+        let [x, y, w] = std::array::from_fn(|r| column[r] + row[r] + self.m[r][2]);
+        let degenerate = w.abs() < 1e-15;
+        let (x, y) = (x / w, y / w);
+        Vec2::new(
+            if degenerate { f64::INFINITY } else { x },
+            if degenerate { f64::INFINITY } else { y },
+        )
     }
 
     /// The underlying row-major 3x3 matrix.
@@ -133,6 +170,90 @@ mod tests {
             Vec2::new(1.0, 1.0),
             Vec2::new(0.0, 1.0),
         ]
+    }
+
+    /// `apply` before the column and row terms were split out.
+    fn reference_apply(h: &Homography, p: Vec2) -> Vec2 {
+        let m = &h.m;
+        let w = m[2][0] * p.x + m[2][1] * p.y + m[2][2];
+        let x = m[0][0] * p.x + m[0][1] * p.y + m[0][2];
+        let y = m[1][0] * p.x + m[1][1] * p.y + m[1][2];
+        if w.abs() < 1e-15 {
+            Vec2::new(f64::INFINITY, f64::INFINITY)
+        } else {
+            Vec2::new(x / w, y / w)
+        }
+    }
+
+    fn bits(p: Vec2) -> (u64, u64) {
+        (p.x.to_bits(), p.y.to_bits())
+    }
+
+    #[test]
+    fn grid_and_apply_match_the_reference_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut homographies = Vec::new();
+        // Quads fitted the way the detectors fit them: canonical 6x6 marker
+        // coordinates onto jittered, skewed image quads.
+        let canonical = [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(6.0, 0.0),
+            Vec2::new(6.0, 6.0),
+            Vec2::new(0.0, 6.0),
+        ];
+        while homographies.len() < 40 {
+            let c = Vec2::new(rng.random_range(0.0..160.0), rng.random_range(0.0..120.0));
+            let s = rng.random_range(3.0..60.0);
+            let dst = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)].map(|(dx, dy)| {
+                c + Vec2::new(
+                    dx * s + rng.random_range(-0.4..0.4) * s,
+                    dy * s + rng.random_range(-0.4..0.4) * s,
+                )
+            });
+            if let Ok(h) = Homography::from_correspondences(&canonical, &dst) {
+                homographies.push(h);
+            }
+        }
+        // Near-degenerate ones: the horizon `w = 0` crosses the grid, exactly
+        // at a sample and within 1e-15 of one, and a nearly collinear quad.
+        let horizon = |m20: f64, m22: f64| Homography {
+            m: [[3.0, 0.5, 10.0], [-0.5, 2.0, 7.0], [m20, 1e-3, m22]],
+        };
+        homographies.push(horizon(1.0, -2.625));
+        homographies.push(horizon(1.0, -2.625 + 4e-16));
+        homographies.push(horizon(-0.4, 1.0));
+        homographies.push(horizon(1e-300, -1e-300));
+        homographies.push(Homography { m: [[0.0; 3]; 3] });
+        let collinear = [
+            Vec2::new(10.0, 10.0),
+            Vec2::new(40.0, 10.0 + 1e-6),
+            Vec2::new(70.0, 10.0 + 3e-6),
+            Vec2::new(40.0, 10.0 + 5e-5),
+        ];
+        homographies.extend(Homography::from_correspondences(&canonical, &collinear));
+
+        let coords: Vec<f64> = (0..6)
+            .flat_map(|c| (0..4).map(move |s| c as f64 + (s as f64 + 0.5) / 4.0))
+            .chain([0.0, -0.0, 6.0, -3.5, 1e12])
+            .collect();
+        let mut degenerate = 0;
+        for h in &homographies {
+            let grid = h.apply_grid(&coords, &coords);
+            assert_eq!(grid.len(), coords.len() * coords.len());
+            for (j, &v) in coords.iter().enumerate() {
+                for (i, &u) in coords.iter().enumerate() {
+                    let want = reference_apply(h, Vec2::new(u, v));
+                    let got = grid[j * coords.len() + i];
+                    assert_eq!(bits(got), bits(want), "grid ({u}, {v}) under {h:?}");
+                    assert_eq!(bits(h.apply(Vec2::new(u, v))), bits(want));
+                    degenerate += usize::from(want.x == f64::INFINITY);
+                }
+            }
+        }
+        assert!(degenerate > 0, "no sample hit the w = 0 branch");
     }
 
     #[test]

@@ -137,7 +137,33 @@ impl GrayImage {
     ///
     /// Non-finite coordinates (which can arise from degenerate homographies)
     /// sample as black.
+    ///
+    /// Points in the interior, `0 <= x < width - 1` and `0 <= y < height - 1`
+    /// (`-0.0` included), take a fast path: there the clamps are no-ops,
+    /// `floor` is truncation and no neighbour is clamped, so it reads the two
+    /// row pairs directly with the same interpolation expression, bit for
+    /// bit. Everything else (NaN, infinities, negative coordinates, the last
+    /// row and column, off-image points) takes the general path.
+    #[inline]
     pub fn sample_bilinear(&self, x: f64, y: f64) -> f32 {
+        let (w, h) = (self.width, self.height);
+        if !(x >= 0.0 && y >= 0.0 && x < (w - 1) as f64 && y < (h - 1) as f64) {
+            return self.sample_bilinear_clamped(x, y);
+        }
+        let (x0, y0) = (x as usize, y as usize);
+        let fx = (x - x0 as f64) as f32;
+        let fy = (y - y0 as f64) as f32;
+        let i = y0 * w + x0;
+        let (r0, r1) = (&self.data[i..i + 2], &self.data[i + w..i + w + 2]);
+        let top = r0[0] * (1.0 - fx) + r0[1] * fx;
+        let bottom = r1[0] * (1.0 - fx) + r1[1] * fx;
+        top * (1.0 - fy) + bottom * fy
+    }
+
+    /// [`GrayImage::sample_bilinear`] for any point: clamps the coordinates
+    /// to `[-1, size + 1]` and each neighbour to the image.
+    #[inline(never)]
+    fn sample_bilinear_clamped(&self, x: f64, y: f64) -> f32 {
         if !x.is_finite() || !y.is_finite() {
             return 0.0;
         }
@@ -418,6 +444,75 @@ mod tests {
         assert!((img.sample_bilinear(0.5, 0.0) - 0.5).abs() < 1e-6);
         assert!((img.sample_bilinear(0.0, 0.0) - 0.0).abs() < 1e-6);
         assert!((img.sample_bilinear(1.0, 0.0) - 1.0).abs() < 1e-6);
+    }
+
+    /// The sampler before the interior fast path: every point clamped.
+    fn reference_sample_bilinear(img: &GrayImage, x: f64, y: f64) -> f32 {
+        if !x.is_finite() || !y.is_finite() {
+            return 0.0;
+        }
+        let x = x.clamp(-1.0, img.width as f64 + 1.0);
+        let y = y.clamp(-1.0, img.height as f64 + 1.0);
+        let x0 = x.floor() as i64;
+        let y0 = y.floor() as i64;
+        let fx = (x - x0 as f64) as f32;
+        let fy = (y - y0 as f64) as f32;
+        let top = img.get_clamped(x0, y0) * (1.0 - fx) + img.get_clamped(x0 + 1, y0) * fx;
+        let bottom =
+            img.get_clamped(x0, y0 + 1) * (1.0 - fx) + img.get_clamped(x0 + 1, y0 + 1) * fx;
+        top * (1.0 - fy) + bottom * fy
+    }
+
+    #[test]
+    fn sample_bilinear_matches_the_clamped_sampler_bit_for_bit() {
+        let (w, h) = (160usize, 120usize);
+        let data = (0..w * h)
+            .map(|i| (i * 7919 % 1009) as f32 / 1009.0)
+            .collect();
+        let img = GrayImage::from_raw(w, h, data).unwrap();
+        let axis = |size: usize| {
+            let last = (size - 1) as f64;
+            let mut v = vec![
+                0.0,
+                -0.0,
+                last,
+                last.next_down(),
+                last.next_up(),
+                size as f64,
+                size as f64 + 1.0,
+                size as f64 + 1.5,
+                1e9,
+                -1e-300,
+                -0.3,
+                -1.0,
+                -2.5,
+                -1e9,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            for i in 0..=(size + 1) {
+                let k = i as f64;
+                v.extend([k, k.next_down(), k.next_up(), k + 0.25, k + 0.5, k + 0.999]);
+            }
+            v
+        };
+        let (xs, ys) = (axis(w), axis(h));
+        let mut interior = 0;
+        for &y in &ys {
+            for &x in &xs {
+                let got = img.sample_bilinear(x, y);
+                let want = reference_sample_bilinear(&img, x, y);
+                assert_eq!(got.to_bits(), want.to_bits(), "sample at ({x:e}, {y:e})");
+                if (0.0..(w - 1) as f64).contains(&x) && (0.0..(h - 1) as f64).contains(&y) {
+                    interior += 1;
+                }
+            }
+        }
+        assert!(
+            interior > xs.len() * ys.len() / 2,
+            "sweep misses the interior"
+        );
     }
 
     #[test]

@@ -39,11 +39,26 @@
 //! * a division stays a division: no reciprocal multiplied in its place,
 //!   neither in [`crate::Homography::apply`] nor in the score
 //!   normalisations;
+//! * an intermediate result may be computed once and reused wherever its
+//!   operands are the same:
+//!   - the payload sum's first 8 additions depend only on the agreement
+//!     bits of cells 0–7, so each decode tabulates all 256 partial sums
+//!     `((0 + t0) + t1) + … + t7` once, and each (code, rotation) adds
+//!     cells 8–15 to its table entry;
+//!   - the sub-sample grid is separable, so each homogeneous coordinate's
+//!     column term `m[r][0] * u` is computed once per grid column and its
+//!     row term `m[r][1] * v` once per grid row, then summed per sample as
+//!     `(column + row) + m[r][2]` and divided per sample, through the one
+//!     expression [`crate::Homography::apply`] uses too;
+//! * a branch may be skipped where it provably does nothing: inside the
+//!   image (`0 <= x < width - 1`, `0 <= y < height - 1`) the bilinear
+//!   sampler's clamps are no-ops and `floor` is truncation, so it reads the
+//!   four neighbours directly with the same interpolation expression;
 //! * integer work may be restructured freely when its results are equal:
 //!   rotated code masks are precomputed per detector, the top-two code
 //!   selection is a single pass with the tie rules of a stable sort, and the
-//!   bilinear sampler floors by truncation plus a correction instead of
-//!   calling `f64::floor` (a libm call on baseline x86-64).
+//!   bilinear sampler's general path floors by truncation plus a correction
+//!   instead of calling `f64::floor` (a libm call on baseline x86-64).
 
 use mls_geom::Vec2;
 use serde::{Deserialize, Serialize};
@@ -328,16 +343,10 @@ impl LearnedDetector {
             }
         }
         let cell_count = terms.len() as f64;
+        let sums = PayloadSums::new(&terms);
         let code_scores = self.rotated_codes.iter().enumerate().map(|(id, masks)| {
-            let agree = masks.map(|mask| !(mask ^ observed));
-            // The four rotations' sums, each accumulated in cell order.
-            let mut sums = [0.0f64; 4];
-            for (i, term) in terms.iter().enumerate() {
-                for (sum, agree) in sums.iter_mut().zip(agree) {
-                    *sum += term[usize::from((agree >> i) & 1)];
-                }
-            }
             let best_rotation = sums
+                .rotations(masks.map(|mask| !(mask ^ observed)))
                 .iter()
                 .fold(0.0f64, |best, sum| best.max(sum / cell_count));
             (id as u32, best_rotation)
@@ -380,6 +389,58 @@ impl MarkerDetector for LearnedDetector {
 
     fn relative_cost(&self) -> f64 {
         self.config.relative_cost
+    }
+}
+
+/// Payload cells whose partial sums [`PayloadSums`] tabulates.
+const PREFIX_CELLS: usize = 8;
+
+/// A payload's soft-match sums for any agreement pattern, built once per
+/// decode.
+///
+/// The sum for agreement mask `agree` adds, in cell order starting from
+/// `0.0`, cell `i`'s `terms[i][1]` where bit `i` of `agree` is set and its
+/// `terms[i][0]` where it is clear. The first [`PREFIX_CELLS`] additions
+/// depend only on the mask's low byte, so every partial sum
+/// `((0 + t0) + t1) + … + t7` is tabulated once (510 additions) and each
+/// (code, rotation) adds the remaining cells to its table entry: the same
+/// chain of additions as accumulating cell by cell.
+struct PayloadSums {
+    prefix: [f64; 1 << PREFIX_CELLS],
+    terms: [[f64; 2]; PAYLOAD_CELLS * PAYLOAD_CELLS],
+}
+
+impl PayloadSums {
+    fn new(terms: &[[f64; 2]; PAYLOAD_CELLS * PAYLOAD_CELLS]) -> Self {
+        // After pass `i`, entry `p < 2^(i+1)` holds the sum over cells
+        // `0..=i` for the pattern `p` of their agreement bits.
+        let mut prefix = [0.0f64; 1 << PREFIX_CELLS];
+        for (i, [miss, hit]) in terms.iter().take(PREFIX_CELLS).enumerate() {
+            let half = 1 << i;
+            for p in 0..half {
+                let base = prefix[p];
+                prefix[p] = base + miss;
+                prefix[p | half] = base + hit;
+            }
+        }
+        Self {
+            prefix,
+            terms: *terms,
+        }
+    }
+
+    /// The payload sums under the four rotations' agreement masks,
+    /// accumulated side by side.
+    #[inline]
+    fn rotations(&self, agree: [MarkerCode; 4]) -> [f64; 4] {
+        let low = |a: MarkerCode| usize::from(a) & ((1 << PREFIX_CELLS) - 1);
+        let mut sums = agree.map(|a| self.prefix[low(a)]);
+        for (i, term) in self.terms.iter().enumerate().skip(PREFIX_CELLS) {
+            for (sum, a) in sums.iter_mut().zip(agree) {
+                *sum += term[usize::from((a >> i) & 1)];
+            }
+        }
+        sums
     }
 }
 
@@ -578,6 +639,49 @@ mod tests {
         );
         assert_eq!(top_two([(0, 0.7)].into_iter()), Some((0, 0.7, 0.0)));
         assert_eq!(top_two(std::iter::empty()), None);
+    }
+
+    /// The per-cell accumulation `PayloadSums` replaced.
+    fn per_cell_sum(terms: &[[f64; 2]; PAYLOAD_CELLS * PAYLOAD_CELLS], agree: MarkerCode) -> f64 {
+        let mut sum = 0.0f64;
+        for (i, term) in terms.iter().enumerate() {
+            sum += term[usize::from((agree >> i) & 1)];
+        }
+        sum
+    }
+
+    #[test]
+    fn payload_sums_match_per_cell_accumulation_for_every_mask() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(16);
+        for round in 0..6 {
+            // Terms as `soft_score` forms them from a random confidence
+            // weight, plus rounds of arbitrary magnitudes whose sums round
+            // differently in every order.
+            let terms: [[f64; 2]; PAYLOAD_CELLS * PAYLOAD_CELLS] = std::array::from_fn(|_| {
+                if round < 3 {
+                    let w = rng.random_range(0.0..=1.0f64);
+                    [w * 0.0 + (1.0 - w) * 0.5, w * 1.0 + (1.0 - w) * 0.5]
+                } else {
+                    let scale = 10f64.powi(rng.random_range(-8..8));
+                    [rng.random::<f64>() * scale, rng.random::<f64>() * scale]
+                }
+            });
+            let sums = PayloadSums::new(&terms);
+            for agree in 0..=MarkerCode::MAX {
+                // Every mask passes through every lane over the sweep.
+                let lanes = [agree, agree.rotate_left(4), !agree, agree ^ 0xa5c3];
+                for (lane, got) in lanes.into_iter().zip(sums.rotations(lanes)) {
+                    assert_eq!(
+                        got.to_bits(),
+                        per_cell_sum(&terms, lane).to_bits(),
+                        "round {round}, mask {lane:#06x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
