@@ -128,8 +128,6 @@ pub struct ScenarioConfig {
     pub decoys: (usize, usize),
     /// Radius around the target within which decoys are placed.
     pub decoy_radius: f64,
-    /// Cruise altitude the mission searches at, metres.
-    pub cruise_altitude: f64,
     /// Map-generation parameters.
     pub map_config: MapGeneratorConfig,
 }
@@ -151,7 +149,6 @@ impl serde::Deserialize for ScenarioConfig {
             gps_target_error: serde::de_field(value, "gps_target_error")?,
             decoys: serde::de_field(value, "decoys")?,
             decoy_radius: serde::de_field(value, "decoy_radius")?,
-            cruise_altitude: serde::de_field(value, "cruise_altitude")?,
             map_config: serde::de_field(value, "map_config")?,
         })
     }
@@ -169,7 +166,6 @@ impl Default for ScenarioConfig {
             gps_target_error: (1.0, 5.0),
             decoys: (1, 3),
             decoy_radius: 18.0,
-            cruise_altitude: 12.0,
             map_config: MapGeneratorConfig::default(),
         }
     }
@@ -190,8 +186,6 @@ pub struct Scenario {
     pub weather: Weather,
     /// Take-off position (on the ground at the map origin).
     pub start: Vec3,
-    /// Altitude the mission climbs to before transiting, metres.
-    pub cruise_altitude: f64,
     /// The nominal GPS landing target handed to the mission (offset from the
     /// true marker by a few metres of survey/GNSS error).
     pub gps_target: Vec3,
@@ -216,7 +210,6 @@ impl serde::Deserialize for Scenario {
             map: serde::de_field(value, "map")?,
             weather: serde::de_field(value, "weather")?,
             start: serde::de_field(value, "start")?,
-            cruise_altitude: serde::de_field(value, "cruise_altitude")?,
             gps_target: serde::de_field(value, "gps_target")?,
             target_marker_id: serde::de_field(value, "target_marker_id")?,
             marker_size: serde::de_field(value, "marker_size")?,
@@ -440,7 +433,6 @@ impl ScenarioGenerator {
             map,
             weather,
             start: Vec3::ZERO,
-            cruise_altitude: cfg.cruise_altitude,
             gps_target,
             target_marker_id,
             marker_size: cfg.marker_size,
@@ -805,6 +797,38 @@ mod tests {
         let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
         let parsed: ScenarioConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(parsed.family, ScenarioFamily::Open);
+    }
+
+    #[test]
+    fn legacy_json_with_cruise_altitude_still_parses() {
+        // Scenarios and configs once carried a `cruise_altitude` that no
+        // mission read (missions climb to `LandingConfig::cruise_altitude`);
+        // JSON persisted with it parses to the same values.
+        fn with_cruise_altitude(json: &str, after: &str) -> String {
+            let serde::Value::Object(mut fields) = serde_json::parse(json).unwrap() else {
+                panic!("serialises to an object");
+            };
+            let at = fields.iter().position(|(key, _)| key == after).unwrap() + 1;
+            let altitude = serde_json::parse("12.0").unwrap();
+            fields.insert(at, ("cruise_altitude".to_string(), altitude));
+            serde_json::to_string(&serde::Value::Object(fields)).unwrap()
+        }
+
+        let scenario = ScenarioGenerator::new(small_config())
+            .generate_benchmark(2)
+            .unwrap()
+            .remove(0);
+        let json = serde_json::to_string(&scenario).unwrap();
+        let legacy = with_cruise_altitude(&json, "start");
+        assert!(legacy.contains("\"cruise_altitude\":12"), "{legacy}");
+        let parsed: Scenario = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(parsed, scenario);
+
+        let config = small_config();
+        let json = serde_json::to_string(&config).unwrap();
+        let legacy = with_cruise_altitude(&json, "decoy_radius");
+        let parsed: ScenarioConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(parsed, config);
     }
 
     #[test]
