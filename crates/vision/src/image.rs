@@ -162,6 +162,9 @@ impl GrayImage {
 
     /// [`GrayImage::sample_bilinear`] for any point: clamps the coordinates
     /// to `[-1, size + 1]` and each neighbour to the image.
+    // Kept out of line so that the interior path stays small enough to
+    // inline into the soft decode's sampling loop; letting this inline too
+    // lost about half of the decode's measured speedup.
     #[inline(never)]
     fn sample_bilinear_clamped(&self, x: f64, y: f64) -> f32 {
         if !x.is_finite() || !y.is_finite() {
