@@ -33,6 +33,7 @@ use std::path::PathBuf;
 use mls_landing::geom::{Attitude, Pose, Vec2, Vec3};
 use mls_landing::sim_uav::{RgbCamera, RgbCameraConfig};
 use mls_landing::sim_world::{MapStyle, MarkerSite, Weather, WorldMap};
+use mls_landing::vision::learned::ScoredCandidate;
 use mls_landing::vision::{
     Camera, ClassicalDetector, DegradationConfig, GrayImage, GroundScene, ImageDegrader,
     LearnedDetector, LightingCondition, MarkerDetector, MarkerDictionary, MarkerPlacement,
@@ -102,14 +103,16 @@ fn corners_bits(out: &mut String, corners: &[Vec2; 4]) {
     }
 }
 
-/// Writes every learned hypothesis and classical detection on `frame`.
+/// Writes every learned hypothesis and classical detection on `frame`, and
+/// returns the learned hypotheses.
 fn record(
     out: &mut String,
     learned: &LearnedDetector,
     classical: &ClassicalDetector,
     frame: &GrayImage,
-) {
-    for c in learned.score_candidates(frame) {
+) -> Vec<ScoredCandidate> {
+    let candidates = learned.score_candidates(frame);
+    for c in &candidates {
         write!(
             out,
             "  learned {} {:016x} {:016x}",
@@ -134,6 +137,7 @@ fn record(
         corners_bits(out, &d.corners);
         out.push('\n');
     }
+    candidates
 }
 
 /// Renders the whole sweep and writes every detector output as text.
@@ -169,10 +173,9 @@ fn golden_text() -> String {
         for (label, pose, speed) in capture_poses() {
             let frame = rgb.capture(&world, &weather, &pose, speed);
             writeln!(out, "capture {label} {} {speed} m/s", weather.label).unwrap();
-            record(&mut out, &learned, &classical, &frame);
+            let candidates = record(&mut out, &learned, &classical, &frame);
             if label.starts_with("edge") {
-                edge_hypotheses += learned
-                    .score_candidates(&frame)
+                edge_hypotheses += candidates
                     .iter()
                     .filter(|c| c.corners.iter().any(|p| !inside_interior(&frame, *p)))
                     .count();
