@@ -8,7 +8,9 @@
 //! early-stop. The two open-pad grid/CMA spaces are checked at the search
 //! stage (probe logs + failing point); the V1 space and the
 //! constrained-pad smoke space run the full search → minimize → capture
-//! pipeline so the persisted trace bytes are compared too.
+//! pipeline so the persisted trace bytes are compared too. A last case
+//! pins that early stop itself cannot move a grid search: the same probe
+//! points and failing point with fewer missions flown.
 //!
 //! Traces land under `target/test-traces/` so CI can upload them as a
 //! workflow artifact for post-mortem inspection.
@@ -299,4 +301,64 @@ fn constrained_space_without_early_stop_is_batched_equivalent() {
         "without early stop every probe flies all {planned} missions"
     );
     assert_equivalent(&sequential, &batched, "sequential vs batched");
+}
+
+#[test]
+fn early_stop_leaves_the_grid_search_unchanged() {
+    // Both axes are floored well into the stressed regime (a 45 %
+    // occlusion duty cycle, a 3 m GNSS bias), so most lattice probes fail
+    // decisively, and the strict 0.85 bar decides a 6-mission probe as
+    // failing on its first failure. The exact early-stop bound cancels the
+    // rest of such a probe without changing its pass/fail verdict, so the
+    // grid searcher must visit the same points and land on the same
+    // failing point. Recorded rates are not compared: an early-stopped
+    // probe records the rate of the missions it flew.
+    let space = FaultSpace::new(
+        "eq-v1-stressed-occlusion-x-gps",
+        vec![
+            FaultAxis::new(FaultKind::MarkerOcclusion, 0.45, 1.0),
+            FaultAxis::new(FaultKind::GpsBias, 0.3, 1.0),
+        ],
+    );
+    let searcher = Searcher::GridRefinement(GridRefinementConfig {
+        resolution: 3,
+        rounds: 0,
+    });
+    let variant = SystemVariant::MlsV1;
+    let stage = |early_stop: bool| {
+        let config = FalsificationConfig {
+            repeats: 3,
+            failure_threshold: 0.85,
+            ..smoke_config(3, ScenarioFamily::Open, early_stop)
+        };
+        search(
+            &config,
+            ProbeExecution::Batched,
+            2,
+            variant,
+            &space,
+            &searcher,
+        )
+    };
+    let full = stage(false);
+    let stopped = stage(true);
+    let points = |stage: &SearchStage| {
+        stage
+            .probes
+            .iter()
+            .map(|probe| probe.point.clone())
+            .collect::<Vec<_>>()
+    };
+    assert!(!full.probes.is_empty(), "the searcher flew no probes");
+    assert_eq!(points(&full), points(&stopped), "probe points diverged");
+    assert_eq!(
+        full.failing_point, stopped.failing_point,
+        "failing points diverged"
+    );
+    assert!(
+        stopped.missions_flown < full.missions_flown,
+        "early stop cancelled no mission ({} vs {})",
+        stopped.missions_flown,
+        full.missions_flown
+    );
 }
