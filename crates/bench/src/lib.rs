@@ -6,18 +6,18 @@
 //! profile (in parallel across OS threads), aggregate the outcomes, and print
 //! a plain-text table next to the values the paper reports.
 //!
-//! Mission sharding is delegated to the `mls-campaign` engine's persistent
-//! work-stealing pool ([`mls_campaign::MissionExecutor`]), whose worker
-//! threads are spawned once per process and shared across every batch; the
-//! campaign-grid binaries (`table1_sil`, `table2_detection`, `table3_hil`,
-//! `fig6_inflation`) go further and run entirely on
-//! [`mls_campaign::CampaignRunner`], `fig5_failure_cases` adds the
-//! `mls-trace` flight recorder on top (capture → triage → byte-exact replay
-//! of the paper's four failure narratives), `falsify` runs the
-//! multi-dimensional falsification engine end to end (search three two-axis
-//! fault spaces, minimize each counterexample onto the failure frontier,
-//! and ship it as a triaged, replay-verified trace), and `perfsuite` times
-//! the canonical workloads and writes the `BENCH_perf.json` trajectory.
+//! Every campaign-grid binary (`table1_sil`, `table2_detection`,
+//! `table3_hil`, `fig6_inflation`, `fig7_resources`, `ablations`,
+//! `realworld_accuracy`) flies its missions on
+//! [`mls_campaign::CampaignRunner`], which shards them over the persistent
+//! work-stealing pool ([`mls_campaign::MissionExecutor`]) and aggregates
+//! each cell; `fig5_failure_cases` adds the `mls-trace` flight recorder on
+//! top (capture → triage → byte-exact replay of the paper's four failure
+//! narratives), `falsify` runs the multi-dimensional falsification engine
+//! end to end (search three two-axis fault spaces, minimize each
+//! counterexample onto the failure frontier, and ship it as a triaged,
+//! replay-verified trace), and `perfsuite` times the campaign grid and the
+//! harness's obs and journal overheads into `BENCH_perf.json`.
 //!
 //! The workload size is controlled by environment variables so the same
 //! binaries serve both quick smoke runs and the full reproduction:
@@ -42,10 +42,8 @@ pub mod confusion;
 
 pub use confusion::{expected_class, ClassScore, MatrixRow, TriageMatrix};
 
-use mls_compute::{ComputeModel, ComputeProfile};
-use mls_core::{
-    BenchmarkSummary, ExecutorConfig, LandingConfig, MissionExecutor, MissionOutcome, SystemVariant,
-};
+use std::path::Path;
+
 use mls_sim_world::{Scenario, ScenarioConfig, ScenarioGenerator};
 use serde::Serialize;
 
@@ -166,79 +164,6 @@ pub fn generate_scenarios(options: &HarnessOptions) -> Vec<Scenario> {
         .expect("benchmark scenario generation cannot fail for validated options")
 }
 
-/// Flies one system variant over every scenario (times `repeats`) on the
-/// campaign engine's persistent work-stealing mission pool
-/// ([`mls_campaign::MissionExecutor::global`]), so repeated harness calls
-/// (one per variant and profile) reuse the same worker threads.
-///
-/// Outcomes are returned in job order (scenario-major within each repeat)
-/// regardless of how the pool schedules them; mission seeds are pure
-/// functions of (benchmark seed, scenario id, repeat), so results are
-/// independent of the thread count.
-pub fn run_missions(
-    scenarios: &[Scenario],
-    variant: SystemVariant,
-    profile: &ComputeProfile,
-    landing: &LandingConfig,
-    executor: &ExecutorConfig,
-    options: &HarnessOptions,
-) -> Vec<MissionOutcome> {
-    let mut jobs: Vec<(usize, u64)> = Vec::new();
-    for repeat in 0..options.repeats {
-        for (index, scenario) in scenarios.iter().enumerate() {
-            let seed = options
-                .seed
-                .wrapping_mul(31)
-                .wrapping_add(scenario.id as u64)
-                .wrapping_add((repeat as u64) << 24);
-            jobs.push((index, seed));
-        }
-    }
-
-    // The persistent pool's job closures outlive this call's borrows, so
-    // the per-call context is moved into shared ownership once.
-    let context = std::sync::Arc::new((
-        scenarios.to_vec(),
-        profile.clone(),
-        landing.clone(),
-        executor.clone(),
-        jobs,
-    ));
-    let count = context.4.len();
-    mls_campaign::MissionExecutor::global().execute(count, options.threads, move |index| {
-        let (scenarios, profile, landing, executor, jobs) = &*context;
-        let (scenario_index, seed) = jobs[index];
-        let compute =
-            ComputeModel::new(profile.clone()).expect("benchmark compute profiles are valid");
-        MissionExecutor::for_variant(
-            &scenarios[scenario_index],
-            variant,
-            landing.clone(),
-            compute,
-            executor.clone(),
-            seed,
-        )
-        .expect("benchmark landing configuration is valid")
-        .run()
-    })
-}
-
-/// Runs a variant and aggregates it into a summary in one call.
-pub fn run_and_summarise(
-    scenarios: &[Scenario],
-    variant: SystemVariant,
-    profile: &ComputeProfile,
-    landing: &LandingConfig,
-    executor: &ExecutorConfig,
-    options: &HarnessOptions,
-) -> (BenchmarkSummary, Vec<MissionOutcome>) {
-    let outcomes = run_missions(scenarios, variant, profile, landing, executor, options);
-    (
-        BenchmarkSummary::from_outcomes(variant, &outcomes),
-        outcomes,
-    )
-}
-
 /// Host metadata stamped into persisted measurement reports
 /// (`BENCH_perf.json`), so numbers stay attributable to the machine,
 /// build profile and commit that produced them.
@@ -246,11 +171,10 @@ pub fn run_and_summarise(
 pub struct HostMeta {
     /// Logical cores available to the process.
     pub cores: usize,
-    /// Cargo build profile the binary was compiled under (`release`,
-    /// `debug`, ...), resolved at build time.
+    /// Build profile of the running binary: `release` or `debug`.
     pub profile: String,
-    /// Short git revision of the checkout the binary was built from
-    /// (`unknown` when the build ran outside a git checkout).
+    /// Git revision checked out in the working directory, where the
+    /// reports are written (`unknown` outside a git checkout).
     pub git_rev: String,
 }
 
@@ -261,10 +185,41 @@ impl HostMeta {
             cores: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            profile: env!("MLS_BUILD_PROFILE").to_string(),
-            git_rev: env!("MLS_GIT_REV").to_string(),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+            .to_string(),
+            git_rev: git_rev(Path::new(".")).unwrap_or_else(|| "unknown".to_string()),
         }
     }
+}
+
+/// Resolves `HEAD` of the git checkout at `root` by reading `.git`
+/// directly (a detached revision, a loose ref, then `packed-refs`);
+/// `None` when `root` is not a git checkout.
+fn git_rev(root: &Path) -> Option<String> {
+    let mut git = root.join(".git");
+    if git.is_file() {
+        // A linked checkout: `.git` names the real git directory.
+        let pointer = std::fs::read_to_string(&git).ok()?;
+        git = root.join(pointer.trim().strip_prefix("gitdir:")?.trim());
+    }
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref:").map(str::trim) else {
+        return Some(head.to_string());
+    };
+    if let Ok(rev) = std::fs::read_to_string(git.join(reference)) {
+        return Some(rev.trim().to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .find(|(_, name)| *name == reference)
+        .map(|(rev, _)| rev.to_string())
 }
 
 /// Flushes the observability sinks at the end of a bench run and prints
@@ -350,11 +305,51 @@ mod tests {
     }
 
     #[test]
-    fn host_meta_is_stamped_at_build_time() {
+    fn git_rev_is_read_from_every_checkout_layout() {
+        let root = std::env::temp_dir().join(format!("mls-bench-git-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let checkout = |name: &str, files: &[(&str, &str)]| {
+            let dir = root.join(name);
+            for (path, text) in files {
+                let path = dir.join(path);
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(path, text).unwrap();
+            }
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
+        };
+        let rev = "0123456789abcdef0123456789abcdef01234567";
+        let main = "ref: refs/heads/main\n";
+        let detached = checkout("detached", &[(".git/HEAD", &format!("{rev}\n"))]);
+        let loose = checkout(
+            "loose",
+            &[
+                (".git/HEAD", main),
+                (".git/refs/heads/main", &format!("{rev}\n")),
+            ],
+        );
+        let packed = checkout(
+            "packed",
+            &[
+                (".git/HEAD", main),
+                (
+                    ".git/packed-refs",
+                    &format!("# pack-refs with: peeled\n{rev} refs/heads/main\n"),
+                ),
+            ],
+        );
+        let linked = checkout("linked", &[(".git", "gitdir: ../detached/.git\n")]);
+        let bare = checkout("none", &[]);
+        assert_eq!(git_rev(&detached).as_deref(), Some(rev));
+        assert_eq!(git_rev(&loose).as_deref(), Some(rev));
+        assert_eq!(git_rev(&packed).as_deref(), Some(rev));
+        assert_eq!(git_rev(&linked).as_deref(), Some(rev));
+        assert_eq!(git_rev(&bare), None);
+        let _ = std::fs::remove_dir_all(&root);
+
         let meta = HostMeta::capture();
         assert!(meta.cores >= 1);
-        assert!(!meta.profile.is_empty(), "build.rs must stamp the profile");
-        assert!(!meta.git_rev.is_empty(), "build.rs must stamp the revision");
+        assert_eq!(meta.profile == "debug", cfg!(debug_assertions));
     }
 
     #[test]
@@ -464,28 +459,5 @@ mod tests {
         // MLS_QUICK values other than "1" are ignored.
         let options = HarnessOptions::from_lookup(lookup_from(&[("MLS_QUICK", "yes")]));
         assert_eq!(options.maps, HarnessOptions::default().maps);
-    }
-
-    #[test]
-    fn missions_run_in_parallel_and_preserve_order() {
-        let options = HarnessOptions {
-            maps: 1,
-            scenarios_per_map: 2,
-            repeats: 1,
-            threads: 2,
-            seed: 3,
-        };
-        let scenarios = generate_scenarios(&options);
-        let outcomes = run_missions(
-            &scenarios,
-            SystemVariant::MlsV1,
-            &ComputeProfile::desktop_sil(),
-            &LandingConfig::default(),
-            &ExecutorConfig::default(),
-            &options,
-        );
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].scenario_id, scenarios[0].id);
-        assert_eq!(outcomes[1].scenario_id, scenarios[1].id);
     }
 }
