@@ -19,42 +19,26 @@ use crate::CampaignError;
 /// are cancelled once the missions already flown decide pass/fail against
 /// `threshold`.
 ///
-/// Two bounds compose, both pure functions of the mission outcomes *in job
-/// order* (so the decision — and therefore the report — is independent of
-/// the worker-thread count):
-///
-/// * the **exact** bound: with `s` successes among the first `n` of `N`
-///   missions, the final rate is bracketed by `[s/N, (s + N − n)/N]`; once
-///   the bracket falls entirely on one side of the threshold the verdict
-///   cannot change, and the cell's classification is guaranteed identical
-///   to flying every mission;
-/// * a **Hoeffding** bound, engaged when `confidence > 0`: stop once the
-///   running mean clears the threshold by
-///   `ε = sqrt(ln(1/confidence) / 2n)`, accepting a `confidence`
-///   probability of misclassifying the cell in exchange for stopping
-///   earlier on long repeat schedules.
-///
-/// With `confidence == 0` (the default used for search probes) only the
-/// exact bound engages: early-stopped pass/fail verdicts match full
-/// evaluation exactly, while the *recorded* success rate becomes the rate
-/// over the missions actually flown.
+/// The decision is the **exact** bound, a pure function of the mission
+/// outcomes *in job order* (so the decision — and therefore the report —
+/// is independent of the worker-thread count): with `s` successes among
+/// the first `n` of `N` missions, the final rate is bracketed by
+/// `[s/N, (s + N − n)/N]`; once the bracket falls entirely on one side of
+/// the threshold the verdict cannot change, and the cell's classification
+/// is guaranteed identical to flying every mission. Only the *recorded*
+/// success rate changes: it becomes the rate over the missions actually
+/// flown.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EarlyStopPolicy {
     /// The success-rate threshold the cell is decided against.
     pub threshold: f64,
-    /// Acceptable misclassification probability for the Hoeffding bound;
-    /// `0` disables it and keeps decisions exact.
-    pub confidence: f64,
 }
 
 impl EarlyStopPolicy {
-    /// An exact-bound-only policy: decisions are guaranteed to match full
+    /// An exact-bound policy: decisions are guaranteed to match full
     /// evaluation.
     pub fn exact(threshold: f64) -> Self {
-        Self {
-            threshold,
-            confidence: 0.0,
-        }
+        Self { threshold }
     }
 
     /// The verdict (`true` = pass, success rate ≥ threshold) after `flown`
@@ -67,23 +51,11 @@ impl EarlyStopPolicy {
         let s = successes as f64;
         let n = flown as f64;
         let total = planned as f64;
-        // Exact bracket on the final rate.
         if (s + (total - n)) / total < self.threshold {
             return Some(false);
         }
         if s / total >= self.threshold {
             return Some(true);
-        }
-        // Hoeffding: the running mean is far enough from the threshold.
-        if self.confidence > 0.0 && flown < planned {
-            let epsilon = ((1.0 / self.confidence).ln() / (2.0 * n)).sqrt();
-            let mean = s / n;
-            if mean + epsilon < self.threshold {
-                return Some(false);
-            }
-            if mean - epsilon >= self.threshold {
-                return Some(true);
-            }
         }
         None
     }
@@ -101,11 +73,6 @@ impl EarlyStopPolicy {
         if !(self.threshold > 0.0 && self.threshold <= 1.0) {
             return Err(CampaignError::InvalidSpec {
                 reason: "early-stop threshold must lie in (0, 1]".to_string(),
-            });
-        }
-        if !(0.0..1.0).contains(&self.confidence) {
-            return Err(CampaignError::InvalidSpec {
-                reason: "early-stop confidence must lie in [0, 1)".to_string(),
             });
         }
         Ok(())
@@ -194,7 +161,21 @@ impl serde::Deserialize for CampaignSpec {
             },
             // Specs predating batched probe evaluation flew every mission.
             probe_early_stop: match value.get("probe_early_stop") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
+                Some(inner) => {
+                    // Policies once carried a Hoeffding `confidence`; a
+                    // spec that engaged it asked for inexact decisions
+                    // this engine no longer makes.
+                    if inner
+                        .get("confidence")
+                        .is_some_and(|c| c.as_f64() != Some(0.0))
+                    {
+                        return Err(serde::Error::new(
+                            "probe_early_stop.confidence is no longer supported: \
+                             only 0 (the exact bound) parses",
+                        ));
+                    }
+                    serde::Deserialize::from_value(inner)?
+                }
                 None => None,
             },
         })
@@ -746,33 +727,11 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_hoeffding_bound_stops_before_certainty() {
-        let exact = EarlyStopPolicy::exact(0.5);
-        let loose = EarlyStopPolicy {
-            threshold: 0.5,
-            confidence: 0.2,
-        };
-        // 12 of 40 flown, all failures: the exact bracket is still open
-        // ((0 + 28)/40 = 0.7 ≥ 0.5) but ε = sqrt(ln 5 / 24) ≈ 0.26 < 0.5.
-        assert_eq!(exact.decide(0, 12, 40), None);
-        assert_eq!(loose.decide(0, 12, 40), Some(false));
-        assert_eq!(loose.decide(12, 12, 40), Some(true));
-        // Means near the threshold stay undecided either way.
-        assert_eq!(loose.decide(6, 12, 40), None);
-    }
-
-    #[test]
     fn early_stop_policies_validate_their_ranges() {
         assert!(EarlyStopPolicy::exact(0.5).validate().is_ok());
         assert!(EarlyStopPolicy::exact(1.0).validate().is_ok());
         assert!(EarlyStopPolicy::exact(0.0).validate().is_err());
         assert!(EarlyStopPolicy::exact(1.5).validate().is_err());
-        assert!(EarlyStopPolicy {
-            threshold: 0.5,
-            confidence: 1.0,
-        }
-        .validate()
-        .is_err());
         let mut spec = CampaignSpec::smoke();
         spec.probe_early_stop = Some(EarlyStopPolicy::exact(2.0));
         assert!(spec.validate().is_err());
@@ -793,6 +752,26 @@ mod tests {
         let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
         let parsed = CampaignSpec::from_json(&legacy).unwrap();
         assert_eq!(parsed.probe_early_stop, None);
+    }
+
+    #[test]
+    fn specs_with_a_nonzero_early_stop_confidence_are_rejected() {
+        let mut spec = CampaignSpec::smoke();
+        spec.probe_early_stop = Some(EarlyStopPolicy::exact(0.75));
+        let json = serde_json::to_string(&spec).unwrap();
+        let with_confidence = |confidence: &str| {
+            json.replace(
+                "\"threshold\":0.75",
+                &format!("\"threshold\":0.75,\"confidence\":{confidence}"),
+            )
+        };
+        assert_ne!(with_confidence("0.0"), json, "the key was not injected");
+        assert_eq!(
+            CampaignSpec::from_json(&with_confidence("0.0")).unwrap(),
+            spec
+        );
+        let err = CampaignSpec::from_json(&with_confidence("0.2")).unwrap_err();
+        assert!(err.to_string().contains("confidence"), "{err}");
     }
 
     #[test]
