@@ -138,8 +138,9 @@ impl Default for FalsificationConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeExecution {
     /// One probe campaign at a time, each internally sharded — the
-    /// pre-batching behaviour, kept as the perf baseline and the
-    /// equivalence reference.
+    /// pre-batching behaviour, kept as the reference the
+    /// `batched_equivalence` suite compares [`ProbeExecution::Batched`]
+    /// against.
     Sequential,
     /// The whole generation flies as one campaign, one cell per point
     /// ([`CampaignRunner::run_with_shared_suites`]), so the pool stays
@@ -917,8 +918,8 @@ fn minimize(
 }
 
 /// The search stage of a falsification run, without minimization and
-/// capture — what the perf suite times when it compares batched against
-/// sequential probe evaluation.
+/// capture — what the `batched_equivalence` suite compares across probe
+/// execution modes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchStage {
     /// Success rate with no fault injected.
@@ -971,8 +972,8 @@ impl FalsificationSearch {
 
     /// Overrides how searcher generations are evaluated
     /// ([`ProbeExecution::Batched`] is the default). Results are identical
-    /// either way; [`ProbeExecution::Sequential`] exists as the perf
-    /// baseline and the equivalence reference.
+    /// either way; [`ProbeExecution::Sequential`] exists as the
+    /// equivalence reference.
     #[must_use]
     pub fn with_probe_execution(mut self, execution: ProbeExecution) -> Self {
         self.execution = execution;
@@ -1010,8 +1011,9 @@ impl FalsificationSearch {
     }
 
     /// Runs only the search stage — baseline plus searcher, no
-    /// minimization, no capture. The perf suite times this against both
-    /// [`ProbeExecution`] modes.
+    /// minimization, no capture. The `batched_equivalence` suite compares
+    /// its output across [`ProbeExecution`] modes and early-stop
+    /// settings.
     ///
     /// # Errors
     ///
