@@ -211,6 +211,11 @@ fn git_rev(root: &Path) -> Option<String> {
     let Some(reference) = head.strip_prefix("ref:").map(str::trim) else {
         return Some(head.to_string());
     };
+    // A linked worktree keeps its own HEAD but shares the branch refs of
+    // the git directory its `commondir` names.
+    if let Ok(common) = std::fs::read_to_string(git.join("commondir")) {
+        git = git.join(common.trim());
+    }
     if let Ok(rev) = std::fs::read_to_string(git.join(reference)) {
         return Some(rev.trim().to_string());
     }
@@ -339,11 +344,20 @@ mod tests {
             ],
         );
         let linked = checkout("linked", &[(".git", "gitdir: ../detached/.git\n")]);
+        let worktree = checkout(
+            "worktree",
+            &[
+                (".git", "gitdir: ../loose/.git/worktrees/wt\n"),
+                ("../loose/.git/worktrees/wt/HEAD", main),
+                ("../loose/.git/worktrees/wt/commondir", "../..\n"),
+            ],
+        );
         let bare = checkout("none", &[]);
         assert_eq!(git_rev(&detached).as_deref(), Some(rev));
         assert_eq!(git_rev(&loose).as_deref(), Some(rev));
         assert_eq!(git_rev(&packed).as_deref(), Some(rev));
         assert_eq!(git_rev(&linked).as_deref(), Some(rev));
+        assert_eq!(git_rev(&worktree).as_deref(), Some(rev));
         assert_eq!(git_rev(&bare), None);
         let _ = std::fs::remove_dir_all(&root);
 
