@@ -9,7 +9,7 @@ use mls_geom::Vec3;
 use serde::{Deserialize, Serialize};
 
 use crate::raycast::voxel_traversal;
-use crate::{CellState, MappingError, OccupancyQuery};
+use crate::{cell_span, CellState, MappingError, OccupancyQuery};
 
 /// Configuration of the local voxel grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -215,6 +215,29 @@ impl OccupancyQuery for VoxelGridMap {
 
     fn memory_bytes(&self) -> usize {
         self.cells.len() * std::mem::size_of::<u8>()
+    }
+
+    /// Scans the dense bytes of every window cell the box reaches.
+    fn may_hold_occupied(&self, min: Vec3, max: Vec3) -> bool {
+        let res = self.config.resolution;
+        // The same offsets `index_of` computes.
+        let (rel_min, rel_max) = (min - self.origin, max - self.origin);
+        let span = |lo: f64, hi: f64, n: usize| {
+            cell_span(lo, hi, res, n as u64).map(|(a, b)| (a as usize, b as usize))
+        };
+        let (Some((x0, x1)), Some((y0, y1)), Some((z0, z1))) = (
+            span(rel_min.x, rel_max.x, self.nx),
+            span(rel_min.y, rel_max.y, self.ny),
+            span(rel_min.z, rel_max.z, self.nz),
+        ) else {
+            return false;
+        };
+        (z0..=z1).any(|z| {
+            (y0..=y1).any(|y| {
+                let row = (z * self.ny + y) * self.nx;
+                self.cells[row + x0..=row + x1].contains(&OCCUPIED)
+            })
+        })
     }
 }
 

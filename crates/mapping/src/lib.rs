@@ -56,6 +56,25 @@ impl fmt::Display for MappingError {
 
 impl Error for MappingError {}
 
+/// The range `lo..=hi` of cell indices along one axis that hold a point
+/// whose offset from the map's minimum corner lies in `[rel_min, rel_max]`,
+/// clipped to the `cells` cells of the axis, or `None` when no cell does.
+/// It mirrors how both maps index a point: a negative offset is outside the
+/// map and the index is `(offset / resolution) as u64`, which is monotone in
+/// the offset, so every point of the range lands in a cell of the span.
+fn cell_span(rel_min: f64, rel_max: f64, resolution: f64, cells: u64) -> Option<(u64, u64)> {
+    if rel_max < 0.0 {
+        return None;
+    }
+    let lo = if rel_min < 0.0 {
+        0
+    } else {
+        (rel_min / resolution) as u64
+    };
+    let hi = ((rel_max / resolution) as u64).min(cells - 1);
+    (lo <= hi).then_some((lo, hi))
+}
+
 /// Occupancy state of a queried point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CellState {
@@ -79,6 +98,20 @@ pub trait OccupancyQuery: Send + Sync {
     /// Approximate memory consumed by the map storage, bytes.
     fn memory_bytes(&self) -> usize;
 
+    /// The box test: `false` only when no point `p` with
+    /// `min <= p <= max` (per axis) reads [`CellState::Occupied`] through
+    /// [`OccupancyQuery::state_at`].
+    ///
+    /// The test is conservative: `true` means "maybe", and a map may answer
+    /// it for any box. A `false` must be exact, because
+    /// [`OccupancyQuery::occupied_within`] returns `false` on it without
+    /// probing. The default answers "maybe" for every box, which keeps a map
+    /// that implements only `state_at` exactly as it was.
+    fn may_hold_occupied(&self, min: Vec3, max: Vec3) -> bool {
+        let _ = (min, max);
+        true
+    }
+
     /// `true` when any cell within `radius` of `point` is occupied — the
     /// inflation primitive. `treat_unknown_as_occupied` selects the
     /// conservative behaviour used during the landing descent.
@@ -90,8 +123,25 @@ pub trait OccupancyQuery: Send + Sync {
     /// cells are comparable in size to the vehicle. Larger radii (descent
     /// corridors, Fig. 6 sweeps) fall back to an exhaustive lattice so thin
     /// obstacles cannot slip between probes.
+    ///
+    /// When unknown space reads as free, the box test
+    /// ([`OccupancyQuery::may_hold_occupied`]) is asked first about the
+    /// cube that holds every probe, padded by one lattice step (at least
+    /// one map cell) so the rounding of `point + offset` cannot leave it.
+    /// A "no" there answers `false`, the result the probes would give; a
+    /// "maybe" runs the probes. Callers that ask about the same point
+    /// repeatedly (the A* lattice) should remember the answer: A* asks once
+    /// per lattice node per query.
     fn occupied_within(&self, point: Vec3, radius: f64, treat_unknown_as_occupied: bool) -> bool {
         let r = radius.max(0.0);
+        let step = self.resolution().max(0.05);
+        // A NaN point has no box; its probes decide.
+        if !treat_unknown_as_occupied && point.is_finite() {
+            let reach = Vec3::splat(r + step);
+            if !self.may_hold_occupied(point - reach, point + reach) {
+                return false;
+            }
+        }
         let check = |p: Vec3| match self.state_at(p) {
             CellState::Occupied => true,
             CellState::Unknown => treat_unknown_as_occupied,
@@ -118,7 +168,6 @@ pub trait OccupancyQuery: Send + Sync {
             ];
             return offsets.iter().any(|offset| check(point + *offset));
         }
-        let step = self.resolution().max(0.05);
         let n = (r / step).ceil() as i32;
         for dz in -n..=n {
             for dy in -n..=n {
@@ -207,6 +256,241 @@ mod tests {
             0.3,
             false
         ));
+    }
+
+    /// Forwards only `resolution` and `state_at`, so it keeps the default
+    /// "maybe" box test: `occupied_within` on it always runs the probes.
+    /// It is the reference the maps' own box tests are checked against.
+    struct ProbesOnly<'a>(&'a dyn OccupancyQuery);
+
+    impl OccupancyQuery for ProbesOnly<'_> {
+        fn resolution(&self) -> f64 {
+            self.0.resolution()
+        }
+        fn state_at(&self, point: Vec3) -> CellState {
+            self.0.state_at(point)
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the randomised tests.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            lo + (hi - lo) * unit
+        }
+
+        fn point(&mut self, lo: Vec3, hi: Vec3) -> Vec3 {
+            Vec3::new(
+                self.range(lo.x, hi.x),
+                self.range(lo.y, hi.y),
+                self.range(lo.z, hi.z),
+            )
+        }
+    }
+
+    /// Resolution of the randomised maps, metres.
+    const RES: f64 = 0.4;
+
+    /// Random depth clouds from random origins, every cloud inserted
+    /// `repeats` times (the octree needs two hits to read occupied).
+    fn insert_random_clouds(
+        rng: &mut SplitMix,
+        repeats: usize,
+        mut insert: impl FnMut(Vec3, &[Vec3]),
+    ) {
+        for _ in 0..6 {
+            let origin = rng.point(Vec3::new(-4.0, -4.0, 1.0), Vec3::new(4.0, 4.0, 4.0));
+            let points: Vec<Vec3> = (0..40)
+                .map(|_| rng.point(Vec3::new(-8.0, -8.0, -0.5), Vec3::new(8.0, 8.0, 6.0)))
+                .collect();
+            for _ in 0..repeats {
+                insert(origin, &points);
+            }
+        }
+    }
+
+    /// A window moved off the world origin, then filled from random clouds
+    /// and a few marked cells.
+    fn random_grid(rng: &mut SplitMix) -> VoxelGridMap {
+        let mut grid = VoxelGridMap::new(VoxelGridConfig {
+            resolution: RES,
+            half_extent_xy: 6.0,
+            height: 5.0,
+            carve_free_space: true,
+            max_range: 30.0,
+        })
+        .unwrap();
+        grid.recenter(Vec3::new(rng.range(-2.0, 2.0), rng.range(-2.0, 2.0), 0.0));
+        insert_random_clouds(rng, 1, |origin, points| grid.insert_cloud(origin, points));
+        for _ in 0..4 {
+            grid.mark_occupied(rng.point(Vec3::new(-6.0, -6.0, 0.0), Vec3::new(6.0, 6.0, 5.0)));
+        }
+        grid
+    }
+
+    /// An octree filled from random clouds (hits, misses and pruned free
+    /// space), with one saturated 2×2×2 block that prunes to a childless
+    /// occupied node.
+    fn random_octree(rng: &mut SplitMix) -> OctreeMap {
+        let mut tree = OctreeMap::new(OctreeConfig {
+            resolution: RES,
+            half_extent: 6.0,
+            ..OctreeConfig::default()
+        })
+        .unwrap();
+        insert_random_clouds(rng, 2, |origin, points| tree.insert_cloud(origin, points));
+        let corner = Vec3::new(
+            -6.0 + 2.0 * RES * (rng.range(0.0, 14.0) as u64) as f64,
+            -6.0 + 2.0 * RES * (rng.range(0.0, 14.0) as u64) as f64,
+            2.0 * RES * (rng.range(0.0, 5.0) as u64) as f64,
+        );
+        for k in 0..8 {
+            let offset = Vec3::new((k & 1) as f64, ((k >> 1) & 1) as f64, (k >> 2) as f64);
+            tree.mark_occupied(corner + (offset + Vec3::splat(0.5)) * RES);
+        }
+        tree
+    }
+
+    /// Random points over and around the maps, points on cell faces, and
+    /// points on and beside the grid window's and the octree volume's
+    /// edges (`edges` per axis: x, y, z).
+    fn probe_points(rng: &mut SplitMix, edges: [[f64; 2]; 3]) -> Vec<Vec3> {
+        let mut points: Vec<Vec3> = (0..250)
+            .map(|_| rng.point(Vec3::new(-9.0, -9.0, -1.5), Vec3::new(9.0, 9.0, 7.0)))
+            .collect();
+        // Points with no box: their probes decide.
+        points.push(Vec3::new(f64::NAN, 1.0, 2.0));
+        points.push(Vec3::new(1.0, f64::INFINITY, 2.0));
+        for _ in 0..60 {
+            let mut cell = |lo: f64, hi: f64| (rng.range(lo, hi) / RES).round() * RES;
+            points.push(Vec3::new(cell(-7.0, 7.0), cell(-7.0, 7.0), cell(0.0, 5.0)));
+        }
+        for (axis, bounds) in edges.iter().enumerate() {
+            for &edge in bounds {
+                for delta in [-RES, -1e-9, 0.0, 1e-9, RES] {
+                    let mut p = rng.point(Vec3::new(-5.0, -5.0, 0.5), Vec3::new(5.0, 5.0, 4.5));
+                    match axis {
+                        0 => p.x = edge + delta,
+                        1 => p.y = edge + delta,
+                        _ => p.z = edge + delta,
+                    }
+                    points.push(p);
+                }
+            }
+        }
+        points
+    }
+
+    /// Asserts `occupied_within` on `map` equals the probes-only reference
+    /// for every point, on both branches and in both unknown modes, and
+    /// returns how many answers were `true` and `false`.
+    fn assert_matches_reference(
+        map: &dyn OccupancyQuery,
+        points: &[Vec3],
+        rng: &mut SplitMix,
+    ) -> [usize; 2] {
+        let reference = ProbesOnly(map);
+        let mut answers = [0, 0];
+        for &point in points {
+            // Both sides of the 2.5-cell branch switch, and a random radius.
+            for radius in [0.0, 0.4, 0.9, 1.0, 1.01, 1.2, 2.0, 2.8, rng.range(0.0, 3.0)] {
+                for treat_unknown in [false, true] {
+                    let fast = map.occupied_within(point, radius, treat_unknown);
+                    assert_eq!(
+                        fast,
+                        reference.occupied_within(point, radius, treat_unknown),
+                        "point {point:?} radius {radius} treat_unknown {treat_unknown}"
+                    );
+                    answers[usize::from(fast)] += 1;
+                }
+            }
+        }
+        answers
+    }
+
+    #[test]
+    fn box_test_keeps_the_grid_inflation_answers_exact() {
+        for seed in 0..4 {
+            let mut rng = SplitMix(seed);
+            let grid = random_grid(&mut rng);
+            let origin = grid.center() - Vec3::new(6.0, 6.0, 0.0);
+            // 31 x 31 x 14 cells of 0.4 m from the window's minimum corner.
+            let edges = [
+                [origin.x, origin.x + 31.0 * RES],
+                [origin.y, origin.y + 31.0 * RES],
+                [0.0, 14.0 * RES],
+            ];
+            let points = probe_points(&mut rng, edges);
+            let [no, yes] = assert_matches_reference(&grid, &points, &mut rng);
+            assert!(no > 0 && yes > 0, "seed {seed}: {no} false / {yes} true");
+        }
+    }
+
+    #[test]
+    fn box_test_keeps_the_octree_inflation_answers_exact() {
+        for seed in 0..4 {
+            let mut rng = SplitMix(100 + seed);
+            let tree = random_octree(&mut rng);
+            // 2^5 leaves of 0.4 m from the volume's minimum corner.
+            let far = 32.0 * RES;
+            let edges = [[-6.0, -6.0 + far], [-6.0, -6.0 + far], [0.0, far]];
+            let points = probe_points(&mut rng, edges);
+            let [no, yes] = assert_matches_reference(&tree, &points, &mut rng);
+            assert!(no > 0 && yes > 0, "seed {seed}: {no} false / {yes} true");
+        }
+    }
+
+    #[test]
+    fn box_test_answers_no_only_for_boxes_without_occupied_cells() {
+        let mut grid = VoxelGridMap::new(VoxelGridConfig {
+            resolution: RES,
+            half_extent_xy: 6.0,
+            height: 5.0,
+            carve_free_space: false,
+            max_range: 30.0,
+        })
+        .unwrap();
+        let mut tree = OctreeMap::new(OctreeConfig {
+            resolution: RES,
+            half_extent: 6.0,
+            ..OctreeConfig::default()
+        })
+        .unwrap();
+        // The cell [2.0, 2.4) x [0.0, 0.4) x [1.2, 1.6) in both maps.
+        let cell = Vec3::new(2.2, 0.2, 1.4);
+        grid.mark_occupied(cell);
+        tree.mark_occupied(cell);
+        let maps: [&dyn OccupancyQuery; 2] = [&grid, &tree];
+        for map in maps {
+            assert_eq!(map.state_at(cell), CellState::Occupied);
+            let at = |x: f64| Vec3::new(x, 0.2, 1.4);
+            assert!(map.may_hold_occupied(at(0.0), at(3.0)));
+            assert!(map.may_hold_occupied(cell, cell));
+            // A box ending just short of the cell's face, and one touching it.
+            assert!(!map.may_hold_occupied(at(0.0), at(1.999)));
+            assert!(map.may_hold_occupied(at(0.0), at(2.0 + 1e-9)));
+            assert!(!map.may_hold_occupied(at(2.5), at(4.0)));
+            // Below the ground and far outside the mapped volume.
+            let below = Vec3::new(2.2, 0.2, -1.0);
+            assert!(!map.may_hold_occupied(below - Vec3::splat(0.3), below));
+            let outside = Vec3::new(50.0, 50.0, 1.0);
+            assert!(!map.may_hold_occupied(outside, outside + Vec3::splat(10.0)));
+        }
+        // Maps that implement only `state_at` answer "maybe" everywhere.
+        assert!(HalfSpace.may_hold_occupied(Vec3::ZERO, Vec3::ZERO));
     }
 
     #[test]

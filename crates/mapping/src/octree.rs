@@ -11,7 +11,7 @@ use mls_geom::Vec3;
 use serde::{Deserialize, Serialize};
 
 use crate::raycast::voxel_traversal;
-use crate::{CellState, MappingError, OccupancyQuery};
+use crate::{cell_span, CellState, MappingError, OccupancyQuery};
 
 /// Configuration of the octree map.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -302,6 +302,37 @@ impl OctreeMap {
         Some((ix, iy, iz))
     }
 
+    /// `true` when the subtree of `node_idx`, covering the `size`-leaf cube
+    /// at leaf coordinates `origin`, has a childless node classified
+    /// occupied that overlaps the leaf box `lo..=hi`. Descends only into
+    /// children that overlap the box, and reads a childless node exactly
+    /// as [`OccupancyQuery::state_at`] does.
+    fn subtree_may_hold_occupied(
+        &self,
+        node_idx: u32,
+        origin: [u64; 3],
+        size: u64,
+        lo: [u64; 3],
+        hi: [u64; 3],
+    ) -> bool {
+        let node = self.nodes[node_idx as usize];
+        if size == 1 || node.is_leaf() {
+            return self.classify(node.log_odds as f64, node.observed) == CellState::Occupied;
+        }
+        let half = size / 2;
+        node.children
+            .iter()
+            .enumerate()
+            .filter(|&(_, &child)| child != 0)
+            .any(|(octant, &child)| {
+                let bits = [(octant >> 2) & 1, (octant >> 1) & 1, octant & 1];
+                let child_origin: [u64; 3] =
+                    std::array::from_fn(|a| origin[a] + bits[a] as u64 * half);
+                (0..3).all(|a| child_origin[a] <= hi[a] && lo[a] < child_origin[a] + half)
+                    && self.subtree_may_hold_occupied(child, child_origin, half, lo, hi)
+            })
+    }
+
     fn classify(&self, log_odds: f64, observed: bool) -> CellState {
         if !observed {
             return CellState::Unknown;
@@ -348,6 +379,24 @@ impl OccupancyQuery for OctreeMap {
 
     fn memory_bytes(&self) -> usize {
         self.node_count() * std::mem::size_of::<Node>()
+    }
+
+    /// Descends only into the children that overlap the box.
+    fn may_hold_occupied(&self, min: Vec3, max: Vec3) -> bool {
+        let (h, res, n) = (
+            self.config.half_extent,
+            self.config.resolution,
+            self.cells_per_axis,
+        );
+        // The same offsets `leaf_coordinates` computes.
+        let (Some((x0, x1)), Some((y0, y1)), Some((z0, z1))) = (
+            cell_span(min.x + h, max.x + h, res, n),
+            cell_span(min.y + h, max.y + h, res, n),
+            cell_span(min.z, max.z, res, n),
+        ) else {
+            return false;
+        };
+        self.subtree_may_hold_occupied(0, [0; 3], self.cells_per_axis, [x0, y0, z0], [x1, y1, z1])
     }
 }
 

@@ -136,6 +136,22 @@ impl Default for AStarPlanner {
     }
 }
 
+/// The search state of one generated lattice node.
+///
+/// One table of these replaces separate cost and parent maps and memoises
+/// the collision check: [`AStarPlanner::node_blocked`] runs once per node
+/// per query, when the node is first generated.
+#[derive(Debug, Clone, Copy)]
+struct NodeRecord {
+    /// The node's inflated collision check.
+    blocked: bool,
+    /// Best cost-to-come found so far; infinite until the node is reached
+    /// (every real cost is a finite sum of lattice steps).
+    g_cost: f64,
+    /// The node `g_cost` was reached from.
+    parent: VoxelIndex,
+}
+
 /// Open-set entry ordered by lowest f-cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OpenEntry {
@@ -181,9 +197,17 @@ impl PathPlanner for AStarPlanner {
         let goal_index = VoxelIndex::from_point(goal, res);
 
         let mut open = BinaryHeap::new();
-        let mut g_cost: HashMap<VoxelIndex, f64> = HashMap::new();
-        let mut parent: HashMap<VoxelIndex, VoxelIndex> = HashMap::new();
-        g_cost.insert(start_index, 0.0);
+        let mut nodes: HashMap<VoxelIndex, NodeRecord> = HashMap::new();
+        // The start is never improved on (every step costs more than 0),
+        // so its own blocked flag is never read.
+        nodes.insert(
+            start_index,
+            NodeRecord {
+                blocked: false,
+                g_cost: 0.0,
+                parent: start_index,
+            },
+        );
         open.push(OpenEntry {
             f_cost: start.distance(goal),
             index: start_index,
@@ -206,7 +230,7 @@ impl PathPlanner for AStarPlanner {
                 let mut cursor = index;
                 while cursor != start_index {
                     waypoints.push(cursor.center(res));
-                    cursor = parent[&cursor];
+                    cursor = nodes[&cursor].parent;
                 }
                 waypoints.push(start);
                 waypoints.reverse();
@@ -216,21 +240,22 @@ impl PathPlanner for AStarPlanner {
                 });
             }
 
-            let current_g = g_cost[&index];
+            let current_g = nodes[&index].g_cost;
             for neighbor in index.all_neighbors() {
                 let neighbor_center = neighbor.center(res);
-                if self.node_blocked(map, neighbor_center) {
+                let record = nodes.entry(neighbor).or_insert_with(|| NodeRecord {
+                    blocked: self.node_blocked(map, neighbor_center),
+                    g_cost: f64::INFINITY,
+                    parent: index,
+                });
+                if record.blocked {
                     continue;
                 }
                 let step = center.distance(neighbor_center);
                 let tentative = current_g + step;
-                if g_cost
-                    .get(&neighbor)
-                    .map(|&g| tentative < g)
-                    .unwrap_or(true)
-                {
-                    g_cost.insert(neighbor, tentative);
-                    parent.insert(neighbor, index);
+                if tentative < record.g_cost {
+                    record.g_cost = tentative;
+                    record.parent = index;
                     open.push(OpenEntry {
                         f_cost: tentative + neighbor_center.distance(goal),
                         index: neighbor,
@@ -262,6 +287,8 @@ impl PathPlanner for AStarPlanner {
 mod tests {
     use super::*;
     use mls_mapping::{VoxelGridConfig, VoxelGridMap};
+    use std::collections::HashSet;
+    use std::sync::Mutex;
 
     /// Builds a local grid with a wall of the given width/height in front of
     /// the start.
@@ -285,6 +312,52 @@ mod tests {
             y += 0.4;
         }
         grid
+    }
+
+    /// Logs every point `occupied_within` is asked about, then delegates.
+    struct Recording<'a> {
+        inner: &'a dyn OccupancyQuery,
+        queried: Mutex<Vec<Vec3>>,
+    }
+
+    impl OccupancyQuery for Recording<'_> {
+        fn resolution(&self) -> f64 {
+            self.inner.resolution()
+        }
+        fn state_at(&self, point: Vec3) -> CellState {
+            self.inner.state_at(point)
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn occupied_within(&self, point: Vec3, radius: f64, treat_unknown: bool) -> bool {
+            self.queried.lock().unwrap().push(point);
+            self.inner.occupied_within(point, radius, treat_unknown)
+        }
+    }
+
+    #[test]
+    fn each_lattice_node_is_checked_once_per_query() {
+        let grid = wall_world(6.0, 8.0);
+        let map = Recording {
+            inner: &grid,
+            queried: Mutex::new(Vec::new()),
+        };
+        let mut planner = AStarPlanner::new();
+        let outcome = planner
+            .plan(&map, Vec3::new(0.0, 0.0, 5.0), Vec3::new(20.0, 0.0, 5.0))
+            .unwrap();
+        let queried = map.queried.into_inner().unwrap();
+        assert!(
+            queried.len() > outcome.iterations,
+            "{} checks",
+            queried.len()
+        );
+        let mut seen = HashSet::new();
+        for point in &queried {
+            let bits = [point.x.to_bits(), point.y.to_bits(), point.z.to_bits()];
+            assert!(seen.insert(bits), "{point:?} was checked twice");
+        }
     }
 
     #[test]
