@@ -25,9 +25,18 @@
 //!   and *enforces* that the reports are byte-identical (journaling must
 //!   never perturb results).
 //!
+//! Each overhead is timed as `PAIRS` (5) interleaved off/on pairs (the order
+//! alternates pair by pair, so a drift in host speed hits both sides). The
+//! report keeps every sample's wall time with its median, minimum and
+//! median absolute deviation, and every pair's relative overhead. An
+//! overhead is labelled `"positive"` or `"negative"` only when all of its
+//! pairs fall on that side of zero, and `"unresolved"` otherwise: one
+//! sample per side cannot tell a 2 % overhead from the host's noise.
+//!
 //! `MLS_PERF_SMOKE=1` shrinks every workload to a CI-sized smoke run
-//! (same measurements, same JSON shape, `"mode": "smoke"`). `MLS_THREADS`
-//! and `MLS_SEED` are honoured as usual.
+//! (same measurements, same JSON shape, `"mode": "smoke"`, and
+//! `SMOKE_PAIRS` (2) pairs per overhead). `MLS_THREADS` and `MLS_SEED` are
+//! honoured as usual.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -47,40 +56,116 @@ struct ThroughputMeasurement {
     per_s: f64,
 }
 
-/// One obs-off vs obs-on timing of the same workload in the same process.
+/// Off/on pairs per overhead in a full run.
+const PAIRS: usize = 5;
+/// Off/on pairs per overhead in a smoke run.
+const SMOKE_PAIRS: usize = 2;
+
+/// Repeated wall-clock samples of one side of an overhead.
 #[derive(Debug, Serialize)]
-struct ObsOverheadMeasurement {
+struct Samples {
+    /// Every sample, seconds, in the order they were taken.
+    walls_s: Vec<f64>,
+    median_s: f64,
+    min_s: f64,
+    /// Median absolute deviation from `median_s`, seconds.
+    mad_s: f64,
+}
+
+impl Samples {
+    fn new(walls_s: Vec<f64>) -> Self {
+        let median_s = median(&walls_s);
+        let deviations: Vec<f64> = walls_s.iter().map(|w| (w - median_s).abs()).collect();
+        Self {
+            median_s,
+            min_s: walls_s.iter().copied().fold(f64::INFINITY, f64::min),
+            mad_s: median(&deviations),
+            walls_s,
+        }
+    }
+}
+
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    match n {
+        0 => f64::NAN,
+        _ if n % 2 == 1 => sorted[n / 2],
+        _ => 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]),
+    }
+}
+
+/// One overhead: the same workload timed off and on in interleaved pairs.
+#[derive(Debug, Serialize)]
+struct OverheadMeasurement {
     name: String,
-    /// Wall-clock with the obs master switch off, seconds.
-    off_wall_s: f64,
-    /// Wall-clock with the JSONL + exposition sinks live, seconds.
-    on_wall_s: f64,
-    /// `(on − off) / off`; the instrumentation budget is < 0.02. Recorded,
-    /// not enforced — single-digit-second workloads on a shared host are
+    /// Samples with the feature off (obs sinks off / no journal).
+    off: Samples,
+    /// Samples with the feature on (JSONL + exposition sinks live / one
+    /// fsync'd journal record per mission).
+    on: Samples,
+    /// `(on − off) / off` of every pair, in pair order.
+    pair_overheads: Vec<f64>,
+    /// Median of `pair_overheads`; the budget is < 0.02. Recorded, not
+    /// enforced — single-digit-second workloads on a shared host are
     /// noisier than the budget itself.
     overhead: f64,
-    /// Whether the workload produced identical results across the toggle
-    /// (this *is* enforced: obs must never perturb).
+    /// `"positive"` or `"negative"` when every pair falls on that side of
+    /// zero, `"unresolved"` otherwise.
+    verdict: String,
+    /// Durable journal records each journaled run left behind (one per
+    /// mission); `null` for the obs overhead.
+    records: Option<usize>,
+    /// Whether every run serialized a byte-identical report (this *is*
+    /// enforced: neither obs nor the journal may perturb results).
     equivalent: bool,
 }
 
-/// One unjournaled vs write-ahead-journaled timing of the same campaign.
-#[derive(Debug, Serialize)]
-struct JournalOverheadMeasurement {
-    name: String,
-    /// Wall-clock with no journal attached, seconds.
-    off_wall_s: f64,
-    /// Wall-clock with one fsync'd journal record per mission, seconds.
-    on_wall_s: f64,
-    /// `(on − off) / off`; the crash-safety budget is < 0.02. Recorded,
-    /// not enforced — single-digit-second workloads on a shared host are
-    /// noisier than the budget itself.
-    overhead: f64,
-    /// Durable journal records the run left behind (one per mission).
-    records: usize,
-    /// Whether the serialized reports were byte-identical across the
-    /// toggle (this *is* enforced: the journal must never perturb).
-    equivalent: bool,
+/// Times `run(false)` and `run(true)` in `pairs` interleaved pairs, the
+/// order alternating pair by pair. `run` returns the wall time and the
+/// serialized report of one run.
+fn paired(
+    name: &str,
+    pairs: usize,
+    mut run: impl FnMut(bool) -> Result<(f64, String), String>,
+) -> Result<OverheadMeasurement, String> {
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    let mut reports = Vec::new();
+    for pair in 0..pairs {
+        let order = if pair % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        for enabled in order {
+            let (wall, report) = run(enabled)?;
+            if enabled { &mut on } else { &mut off }.push(wall);
+            reports.push(report);
+        }
+    }
+    let pair_overheads: Vec<f64> = off
+        .iter()
+        .zip(&on)
+        .map(|(off, on)| (on - off) / off.max(1e-9))
+        .collect();
+    let verdict = if pair_overheads.iter().all(|&o| o > 0.0) {
+        "positive"
+    } else if pair_overheads.iter().all(|&o| o < 0.0) {
+        "negative"
+    } else {
+        "unresolved"
+    };
+    Ok(OverheadMeasurement {
+        name: name.to_string(),
+        overhead: median(&pair_overheads),
+        verdict: verdict.to_string(),
+        off: Samples::new(off),
+        on: Samples::new(on),
+        pair_overheads,
+        records: None,
+        equivalent: reports.windows(2).all(|w| w[0] == w[1]),
+    })
 }
 
 /// The persisted perf report.
@@ -91,8 +176,8 @@ struct PerfReport {
     threads: usize,
     host: HostMeta,
     throughput: Vec<ThroughputMeasurement>,
-    obs_overhead: Vec<ObsOverheadMeasurement>,
-    journal_overhead: Vec<JournalOverheadMeasurement>,
+    obs_overhead: Vec<OverheadMeasurement>,
+    journal_overhead: Vec<OverheadMeasurement>,
 }
 
 fn seconds(start: Instant) -> f64 {
@@ -139,80 +224,98 @@ fn campaign_grid(threads: usize, smoke: bool, seed: u64) -> Result<ThroughputMea
 }
 
 /// Obs overhead on the campaign grid: the same spec timed with the obs
-/// master switch off, then on, inside this process; the serialized reports
-/// must be byte-identical across the toggle. The switch is left off
-/// afterwards.
+/// master switch off and on inside this process, in interleaved pairs; the
+/// serialized reports must be byte-identical across the toggle. The switch
+/// is left off afterwards.
 fn obs_overhead_grid(
     threads: usize,
     smoke: bool,
     seed: u64,
-) -> Result<ObsOverheadMeasurement, String> {
+    pairs: usize,
+) -> Result<OverheadMeasurement, String> {
     let spec = campaign_grid_spec(smoke, seed);
     let runner = CampaignRunner::new(threads);
-    let run = |enabled: bool| -> Result<(f64, String), String> {
+    paired("obs-overhead-grid", pairs, |enabled| {
         mls_obs::set_enabled(enabled);
         let start = Instant::now();
         let report = runner.run(&spec).map_err(|e| e.to_string());
         let wall = seconds(start);
         mls_obs::set_enabled(false);
         Ok((wall, report?.to_json().map_err(|e| e.to_string())?))
-    };
-    let (off_wall_s, off) = run(false)?;
-    let (on_wall_s, on) = run(true)?;
-    Ok(ObsOverheadMeasurement {
-        name: "obs-overhead-grid".to_string(),
-        off_wall_s,
-        on_wall_s,
-        overhead: (on_wall_s - off_wall_s) / off_wall_s.max(1e-9),
-        equivalent: off == on,
     })
 }
 
 /// Journal overhead on the campaign grid: the same spec unjournaled vs
-/// with the write-ahead journal attached, reports compared byte for byte.
-/// The suite cache is warmed first so both timings isolate mission
-/// flying + journaling from scenario generation.
+/// with a fresh write-ahead journal attached, in interleaved pairs, reports
+/// compared byte for byte. The suite cache is warmed first so the timings
+/// isolate mission flying + journaling from scenario generation.
 fn journal_overhead_grid(
     threads: usize,
     smoke: bool,
     seed: u64,
-) -> Result<JournalOverheadMeasurement, String> {
+    pairs: usize,
+) -> Result<OverheadMeasurement, String> {
     let spec = campaign_grid_spec(smoke, seed);
     let runner = CampaignRunner::new(threads);
     runner
         .generate_scenarios(&spec)
         .map_err(|e| e.to_string())?;
-
-    let start = Instant::now();
-    let off = runner.run(&spec).map_err(|e| e.to_string())?;
-    let off_wall_s = seconds(start);
-    let off_json = off.to_json().map_err(|e| e.to_string())?;
-
     let journal = std::path::PathBuf::from("target/perf-journal.jsonl");
-    let _ = std::fs::remove_file(&journal);
     let journaled = CampaignRunner::new(threads).with_journal(&journal);
-    let start = Instant::now();
-    let on = journaled.run(&spec).map_err(|e| e.to_string())?;
-    let on_wall_s = seconds(start);
-    let on_json = on.to_json().map_err(|e| e.to_string())?;
-    let records = std::fs::read_to_string(&journal)
-        .map(|text| text.matches('\n').count().saturating_sub(1))
-        .unwrap_or(0);
-    if records != off.missions {
-        return Err(format!(
-            "expected one journal record per mission, got {records} for {} missions",
-            off.missions
-        ));
-    }
+    let mut records = 0;
+    let mut measurement = paired("journal-overhead-grid", pairs, |enabled| {
+        if !enabled {
+            let start = Instant::now();
+            let report = runner.run(&spec).map_err(|e| e.to_string())?;
+            return Ok((seconds(start), report.to_json().map_err(|e| e.to_string())?));
+        }
+        let _ = std::fs::remove_file(&journal);
+        let start = Instant::now();
+        let report = journaled.run(&spec).map_err(|e| e.to_string())?;
+        let wall = seconds(start);
+        records = std::fs::read_to_string(&journal)
+            .map(|text| text.matches('\n').count().saturating_sub(1))
+            .unwrap_or(0);
+        if records != report.missions {
+            return Err(format!(
+                "expected one journal record per mission, got {records} for {} missions",
+                report.missions
+            ));
+        }
+        Ok((wall, report.to_json().map_err(|e| e.to_string())?))
+    })?;
+    measurement.records = Some(records);
+    Ok(measurement)
+}
 
-    Ok(JournalOverheadMeasurement {
-        name: "journal-overhead-grid".to_string(),
-        off_wall_s,
-        on_wall_s,
-        overhead: (on_wall_s - off_wall_s) / off_wall_s.max(1e-9),
-        records,
-        equivalent: off_json == on_json,
-    })
+fn print_overhead(m: &OverheadMeasurement) {
+    let walls = |samples: &Samples| {
+        let walls: Vec<String> = samples.walls_s.iter().map(|w| format!("{w:.2}")).collect();
+        format!(
+            "[{}] s (median {:.2}, min {:.2}, MAD {:.2})",
+            walls.join(", "),
+            samples.median_s,
+            samples.min_s,
+            samples.mad_s
+        )
+    };
+    let pairs: Vec<String> = m
+        .pair_overheads
+        .iter()
+        .map(|o| format!("{:+.1}%", o * 100.0))
+        .collect();
+    println!("  off {}", walls(&m.off));
+    println!("  on  {}", walls(&m.on));
+    if let Some(records) = m.records {
+        println!("  {records} journal records per journaled run");
+    }
+    println!(
+        "  pairs [{}] → median overhead {:+.2}%, {} (equivalent: {})",
+        pairs.join(", "),
+        m.overhead * 100.0,
+        m.verdict,
+        m.equivalent
+    );
 }
 
 fn main() -> ExitCode {
@@ -229,6 +332,7 @@ fn main() -> ExitCode {
         3
     };
     let threads = options.threads;
+    let pairs = if smoke { SMOKE_PAIRS } else { PAIRS };
     let host = HostMeta::capture();
     println!(
         "mode: {}, {} threads, seed {seed}, host: {} cores, {} build @ {}",
@@ -266,16 +370,10 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[2/3] obs-overhead (sinks off vs on, same process; budget < 2%)");
-    match obs_overhead_grid(threads, smoke, seed) {
+    println!("\n[2/3] obs-overhead (sinks off vs on, same process, {pairs} pairs; budget < 2%)");
+    match obs_overhead_grid(threads, smoke, seed, pairs) {
         Ok(m) => {
-            println!(
-                "  off {:.1} s, on {:.1} s → overhead {:+.2}% (equivalent: {})",
-                m.off_wall_s,
-                m.on_wall_s,
-                m.overhead * 100.0,
-                m.equivalent
-            );
+            print_overhead(&m);
             // The equivalence half is a hard invariant; the overhead
             // number is recorded against the budget but not gated on
             // (wall-clock noise on shared CI hosts dwarfs 2 %).
@@ -288,17 +386,12 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\n[3/3] journal-overhead (unjournaled vs write-ahead journal; budget < 2%)");
-    match journal_overhead_grid(threads, smoke, seed) {
+    println!(
+        "\n[3/3] journal-overhead (unjournaled vs write-ahead journal, {pairs} pairs; budget < 2%)"
+    );
+    match journal_overhead_grid(threads, smoke, seed, pairs) {
         Ok(m) => {
-            println!(
-                "  off {:.1} s, on {:.1} s ({} records) → overhead {:+.2}% (equivalent: {})",
-                m.off_wall_s,
-                m.on_wall_s,
-                m.records,
-                m.overhead * 100.0,
-                m.equivalent
-            );
+            print_overhead(&m);
             // As with obs-overhead: equivalence is the hard invariant, the
             // overhead number is recorded against the budget.
             all_good &= m.equivalent;
@@ -311,7 +404,7 @@ fn main() -> ExitCode {
     }
 
     let report = PerfReport {
-        schema: "mls-perf-v6".to_string(),
+        schema: "mls-perf-v7".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         threads,
         host,
