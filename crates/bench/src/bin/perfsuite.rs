@@ -261,7 +261,6 @@ fn journal_overhead_grid(
         .generate_scenarios(&spec)
         .map_err(|e| e.to_string())?;
     let journal = std::path::PathBuf::from("target/perf-journal.jsonl");
-    let journaled = CampaignRunner::new(threads).with_journal(&journal);
     let mut records = 0;
     let mut measurement = paired("journal-overhead-grid", pairs, |enabled| {
         if !enabled {
@@ -269,7 +268,11 @@ fn journal_overhead_grid(
             let report = runner.run(&spec).map_err(|e| e.to_string())?;
             return Ok((seconds(start), report.to_json().map_err(|e| e.to_string())?));
         }
+        // A runner keeps its journal open across runs, so each journaled
+        // run gets a fresh runner on a fresh file; a reused one would
+        // resume from the last run's records instead of flying.
         let _ = std::fs::remove_file(&journal);
+        let journaled = CampaignRunner::new(threads).with_journal(&journal);
         let start = Instant::now();
         let report = journaled.run(&spec).map_err(|e| e.to_string())?;
         let wall = seconds(start);
