@@ -135,7 +135,7 @@ pub trait OccupancyQuery: Send + Sync {
     fn occupied_within(&self, point: Vec3, radius: f64, treat_unknown_as_occupied: bool) -> bool {
         let r = radius.max(0.0);
         let step = self.resolution().max(0.05);
-        // A NaN point has no box; its probes decide.
+        // A point that is not finite has no box; its probes decide.
         if !treat_unknown_as_occupied && point.is_finite() {
             let reach = Vec3::splat(r + step);
             if !self.may_hold_occupied(point - reach, point + reach) {
@@ -210,6 +210,8 @@ pub trait OccupancyQuery: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     struct HalfSpace;
 
@@ -275,30 +277,12 @@ mod tests {
         }
     }
 
-    /// SplitMix64: a seeded stream for the randomised tests.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn range(&mut self, lo: f64, hi: f64) -> f64 {
-            let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            lo + (hi - lo) * unit
-        }
-
-        fn point(&mut self, lo: Vec3, hi: Vec3) -> Vec3 {
-            Vec3::new(
-                self.range(lo.x, hi.x),
-                self.range(lo.y, hi.y),
-                self.range(lo.z, hi.z),
-            )
-        }
+    fn random_point(rng: &mut StdRng, lo: Vec3, hi: Vec3) -> Vec3 {
+        Vec3::new(
+            rng.random_range(lo.x..hi.x),
+            rng.random_range(lo.y..hi.y),
+            rng.random_range(lo.z..hi.z),
+        )
     }
 
     /// Resolution of the randomised maps, metres.
@@ -307,14 +291,14 @@ mod tests {
     /// Random depth clouds from random origins, every cloud inserted
     /// `repeats` times (the octree needs two hits to read occupied).
     fn insert_random_clouds(
-        rng: &mut SplitMix,
+        rng: &mut StdRng,
         repeats: usize,
         mut insert: impl FnMut(Vec3, &[Vec3]),
     ) {
         for _ in 0..6 {
-            let origin = rng.point(Vec3::new(-4.0, -4.0, 1.0), Vec3::new(4.0, 4.0, 4.0));
+            let origin = random_point(rng, Vec3::new(-4.0, -4.0, 1.0), Vec3::new(4.0, 4.0, 4.0));
             let points: Vec<Vec3> = (0..40)
-                .map(|_| rng.point(Vec3::new(-8.0, -8.0, -0.5), Vec3::new(8.0, 8.0, 6.0)))
+                .map(|_| random_point(rng, Vec3::new(-8.0, -8.0, -0.5), Vec3::new(8.0, 8.0, 6.0)))
                 .collect();
             for _ in 0..repeats {
                 insert(origin, &points);
@@ -324,7 +308,7 @@ mod tests {
 
     /// A window moved off the world origin, then filled from random clouds
     /// and a few marked cells.
-    fn random_grid(rng: &mut SplitMix) -> VoxelGridMap {
+    fn random_grid(rng: &mut StdRng) -> VoxelGridMap {
         let mut grid = VoxelGridMap::new(VoxelGridConfig {
             resolution: RES,
             half_extent_xy: 6.0,
@@ -333,10 +317,18 @@ mod tests {
             max_range: 30.0,
         })
         .unwrap();
-        grid.recenter(Vec3::new(rng.range(-2.0, 2.0), rng.range(-2.0, 2.0), 0.0));
+        grid.recenter(Vec3::new(
+            rng.random_range(-2.0..2.0),
+            rng.random_range(-2.0..2.0),
+            0.0,
+        ));
         insert_random_clouds(rng, 1, |origin, points| grid.insert_cloud(origin, points));
         for _ in 0..4 {
-            grid.mark_occupied(rng.point(Vec3::new(-6.0, -6.0, 0.0), Vec3::new(6.0, 6.0, 5.0)));
+            grid.mark_occupied(random_point(
+                rng,
+                Vec3::new(-6.0, -6.0, 0.0),
+                Vec3::new(6.0, 6.0, 5.0),
+            ));
         }
         grid
     }
@@ -344,7 +336,7 @@ mod tests {
     /// An octree filled from random clouds (hits, misses and pruned free
     /// space), with one saturated 2×2×2 block that prunes to a childless
     /// occupied node.
-    fn random_octree(rng: &mut SplitMix) -> OctreeMap {
+    fn random_octree(rng: &mut StdRng) -> OctreeMap {
         let mut tree = OctreeMap::new(OctreeConfig {
             resolution: RES,
             half_extent: 6.0,
@@ -353,9 +345,9 @@ mod tests {
         .unwrap();
         insert_random_clouds(rng, 2, |origin, points| tree.insert_cloud(origin, points));
         let corner = Vec3::new(
-            -6.0 + 2.0 * RES * (rng.range(0.0, 14.0) as u64) as f64,
-            -6.0 + 2.0 * RES * (rng.range(0.0, 14.0) as u64) as f64,
-            2.0 * RES * (rng.range(0.0, 5.0) as u64) as f64,
+            -6.0 + 2.0 * RES * rng.random_range(0..14) as f64,
+            -6.0 + 2.0 * RES * rng.random_range(0..14) as f64,
+            2.0 * RES * rng.random_range(0..5) as f64,
         );
         for k in 0..8 {
             let offset = Vec3::new((k & 1) as f64, ((k >> 1) & 1) as f64, (k >> 2) as f64);
@@ -367,21 +359,22 @@ mod tests {
     /// Random points over and around the maps, points on cell faces, and
     /// points on and beside the grid window's and the octree volume's
     /// edges (`edges` per axis: x, y, z).
-    fn probe_points(rng: &mut SplitMix, edges: [[f64; 2]; 3]) -> Vec<Vec3> {
+    fn probe_points(rng: &mut StdRng, edges: [[f64; 2]; 3]) -> Vec<Vec3> {
         let mut points: Vec<Vec3> = (0..250)
-            .map(|_| rng.point(Vec3::new(-9.0, -9.0, -1.5), Vec3::new(9.0, 9.0, 7.0)))
+            .map(|_| random_point(rng, Vec3::new(-9.0, -9.0, -1.5), Vec3::new(9.0, 9.0, 7.0)))
             .collect();
         // Points with no box: their probes decide.
         points.push(Vec3::new(f64::NAN, 1.0, 2.0));
         points.push(Vec3::new(1.0, f64::INFINITY, 2.0));
         for _ in 0..60 {
-            let mut cell = |lo: f64, hi: f64| (rng.range(lo, hi) / RES).round() * RES;
+            let mut cell = |lo: f64, hi: f64| (rng.random_range(lo..hi) / RES).round() * RES;
             points.push(Vec3::new(cell(-7.0, 7.0), cell(-7.0, 7.0), cell(0.0, 5.0)));
         }
         for (axis, bounds) in edges.iter().enumerate() {
             for &edge in bounds {
                 for delta in [-RES, -1e-9, 0.0, 1e-9, RES] {
-                    let mut p = rng.point(Vec3::new(-5.0, -5.0, 0.5), Vec3::new(5.0, 5.0, 4.5));
+                    let mut p =
+                        random_point(rng, Vec3::new(-5.0, -5.0, 0.5), Vec3::new(5.0, 5.0, 4.5));
                     match axis {
                         0 => p.x = edge + delta,
                         1 => p.y = edge + delta,
@@ -400,13 +393,23 @@ mod tests {
     fn assert_matches_reference(
         map: &dyn OccupancyQuery,
         points: &[Vec3],
-        rng: &mut SplitMix,
+        rng: &mut StdRng,
     ) -> [usize; 2] {
         let reference = ProbesOnly(map);
         let mut answers = [0, 0];
         for &point in points {
             // Both sides of the 2.5-cell branch switch, and a random radius.
-            for radius in [0.0, 0.4, 0.9, 1.0, 1.01, 1.2, 2.0, 2.8, rng.range(0.0, 3.0)] {
+            for radius in [
+                0.0,
+                0.4,
+                0.9,
+                1.0,
+                1.01,
+                1.2,
+                2.0,
+                2.8,
+                rng.random_range(0.0..3.0),
+            ] {
                 for treat_unknown in [false, true] {
                     let fast = map.occupied_within(point, radius, treat_unknown);
                     assert_eq!(
@@ -424,7 +427,7 @@ mod tests {
     #[test]
     fn box_test_keeps_the_grid_inflation_answers_exact() {
         for seed in 0..4 {
-            let mut rng = SplitMix(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             let grid = random_grid(&mut rng);
             let origin = grid.center() - Vec3::new(6.0, 6.0, 0.0);
             // 31 x 31 x 14 cells of 0.4 m from the window's minimum corner.
@@ -442,7 +445,7 @@ mod tests {
     #[test]
     fn box_test_keeps_the_octree_inflation_answers_exact() {
         for seed in 0..4 {
-            let mut rng = SplitMix(100 + seed);
+            let mut rng = StdRng::seed_from_u64(100 + seed);
             let tree = random_octree(&mut rng);
             // 2^5 leaves of 0.4 m from the volume's minimum corner.
             let far = 32.0 * RES;
